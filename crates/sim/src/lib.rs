@@ -42,4 +42,6 @@ pub use par::default_threads;
 pub use passes::{OptReport, PassStat};
 pub use profile::{Hist, HotBlock, SimProfile};
 pub use sim::{Engine, InjectKind, Injection, Sim, SimConfig};
+#[doc(hidden)]
+pub use tape::{block_tapes, reference_block_tapes, BlockTapes};
 pub use vcd::VcdWriter;

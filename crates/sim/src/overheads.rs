@@ -7,22 +7,26 @@ use std::time::Duration;
 ///
 /// Mirrors the columns of the paper's Figure 16: elaboration (`elab`), code
 /// generation (`cgen`), Verilog translation + re-parse (`veri`, RTL
-/// specialization only), tape optimization (`comp`), wrapper table
-/// construction (`wrap`), and simulator/schedule creation (`simc`).
+/// specialization only), IR constant folding plus tape optimization
+/// (`comp`), wrapper table construction (`wrap`), and simulator/schedule
+/// creation (`simc`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Overheads {
     /// Component elaboration into a `Design`.
     pub elab: Duration,
-    /// IR-to-tape code generation.
+    /// IR-to-tape code generation: emission, narrowing, stamping shared
+    /// block bodies into their instances, and validation.
     pub cgen: Duration,
     /// Verilog emission and re-parsing (set by the caller when the
     /// translate-round-trip path is used; zero otherwise).
     pub veri: Duration,
-    /// Tape optimization (constant folding, etc.).
+    /// Optimization: IR constant folding and every run of the tape
+    /// optimizer, per block body and over fused plan tapes.
     pub comp: Duration,
     /// Signal-view wrapper table construction.
     pub wrap: Duration,
-    /// Schedule and event-structure creation.
+    /// Schedule and event-structure creation, including tape fusion
+    /// (but not the fused tapes' optimization, which is `comp`).
     pub simc: Duration,
 }
 

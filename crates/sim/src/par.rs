@@ -38,17 +38,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mtl_bits::Bits;
-use mtl_core::{BlockBody, BlockId, BlockKind, Design, NativeFn};
+use mtl_core::{BlockBody, Design, NativeFn};
 
 use crate::overheads::Overheads;
 use crate::passes::{optimize, OptReport};
 use crate::profile::EngineStats;
 use crate::sim::{mask_of, EngineImpl, PackedView};
 use crate::tape::{
-    compile_block, exec_tape_ptr, fold_stmts, fuse, narrow, validate, widen, Op, Tape, TapeMems,
+    compile_blocks, exec_tape_ptr, fuse, narrow, validate, widen, Op, Tape, TapeMems,
 };
 
 /// Default worker-thread count: `MTL_SIM_THREADS` if set (clamped to at
@@ -513,53 +513,16 @@ impl ParTapeEngine {
         opt: bool,
         o: &mut Overheads,
     ) -> Self {
-        // Phase: comp (IR optimization — constant folding).
-        let t0 = Instant::now();
-        let folded: Vec<Option<Vec<mtl_core::Stmt>>> = design
-            .blocks()
-            .iter()
-            .map(|b| match &b.body {
-                BlockBody::Ir(stmts) => Some(fold_stmts(stmts)),
-                _ => None,
-            })
-            .collect();
-        o.comp += t0.elapsed();
-
         // Width tables, needed by the optimizer (known-bits reasoning)
         // and the native wrappers.
         let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
         let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
         let mut report = if opt { Some(OptReport::new()) } else { None };
 
-        // Phase: cgen (tape code generation + optimizer pipeline; the
-        // register budget applies to the narrowed, post-compaction tape).
-        let t0 = Instant::now();
-        let block_tapes: Vec<Tape> = design
-            .blocks()
-            .iter()
-            .zip(&folded)
-            .enumerate()
-            .map(|(i, (b, f))| match f {
-                Some(stmts) => {
-                    let mut vt = compile_block(&design, stmts, b.kind);
-                    if let Some(rep) = report.as_mut() {
-                        optimize(&mut vt, &widths, &mem_widths, rep);
-                    }
-                    narrow(&vt, || {
-                        let kind = match b.kind {
-                            BlockKind::Comb => "comb",
-                            BlockKind::Seq => "seq",
-                        };
-                        format!("{kind} block `{}`", design.block_path(BlockId::from_index(i)))
-                    })
-                }
-                None => Tape::default(),
-            })
-            .collect();
-        for t in &block_tapes {
-            validate(t, design.nets().len(), design.mems().len());
-        }
-        o.cgen += t0.elapsed();
+        // Phases: comp (constant folding, optimizer) and cgen (tape code
+        // generation; the register budget applies to the narrowed,
+        // post-compaction tape).
+        let block_tapes = compile_blocks(&design, &widths, &mem_widths, report.as_mut(), o);
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
@@ -627,13 +590,16 @@ impl ParTapeEngine {
         };
         // Re-optimizing the fused unit tape picks up cross-block wins
         // (CSE/forwarding across block boundaries) the per-block pipeline
-        // cannot see.
+        // cannot see; that optimization is charged to comp.
+        let mut opt_time = Duration::ZERO;
         let mut fuse_blocks = |blocks: &[u32]| -> Tape {
             let parts: Vec<&Tape> = blocks.iter().map(|&b| &block_tapes[b as usize]).collect();
             let mut fused = fuse(&parts);
             if let Some(rep) = report.as_mut() {
                 let mut vt = widen(&fused);
+                let t = Instant::now();
                 optimize(&mut vt, &widths, &mem_widths, rep);
+                opt_time += t.elapsed();
                 fused = narrow(&vt, || "fused unit tape".into());
             }
             fused
@@ -777,7 +743,8 @@ impl ParTapeEngine {
                     .expect("spawn simulation worker"),
             );
         }
-        o.simc += t0.elapsed();
+        o.comp += opt_time;
+        o.simc += t0.elapsed() - opt_time;
 
         Self {
             design,

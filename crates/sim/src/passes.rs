@@ -89,11 +89,58 @@
 //! applies to the *reallocated* tape.
 //!
 //! All passes are deterministic: hash maps are used for lookup only,
-//! never iterated, so the optimized tape is a pure function of its input.
+//! never iterated, so the optimized tape is a pure function of its input
+//! (and independent of the hasher, which is why the hot passes can use
+//! the cheap [`FxBuild`] instead of SipHash).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::tape::{mask_of, Op, VReg, VTape};
+
+/// A multiply-rotate word hasher in the style of rustc's `FxHasher`:
+/// several times cheaper than SipHash on the small integer keys the
+/// passes and the body cache look up. No DoS resistance, which nothing
+/// here needs — every key is derived from the design being compiled.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_u8(&mut self, w: u8) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_u16(&mut self, w: u16) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`FxHasher`] as a `HashMap` hasher builder.
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Fixpoint bound for the pass loop. Real designs converge in 2–3 rounds;
 /// the bound only guards against a pathological rewrite cycle.
@@ -123,6 +170,14 @@ pub struct PassStat {
 pub struct OptReport {
     /// Number of tapes optimized (per-block tapes plus fused plan tapes).
     pub tapes: u64,
+    /// Number of IR blocks whose tapes the per-block pipeline produced
+    /// (each counted in `tapes` and every other total).
+    pub blocks: u64,
+    /// Distinct block bodies among those `blocks`: the pipeline runs once
+    /// per body and its result is stamped into every instance
+    /// ([`crate::tape::compile_blocks`]). Not part of the other totals,
+    /// which count every instance.
+    pub bodies: u64,
     /// Total pass rounds executed across all tapes.
     pub rounds: u64,
     /// Ops across all tapes before optimization.
@@ -217,6 +272,9 @@ impl OptReport {
                 p.name, p.ops_before, p.ops_after, p.rewrites, p.regs_reclaimed
             ));
         }
+        if self.blocks > 0 {
+            out.push_str(&format!("  bodies {} of {} blocks\n", self.bodies, self.blocks));
+        }
         if !self.mix.is_empty() {
             out.push_str("  surviving op mix:");
             for (kind, n) in &self.mix {
@@ -228,17 +286,41 @@ impl OptReport {
     }
 
     fn record_mix(&mut self, ops: &[Op<VReg>]) {
-        let mut counts: HashMap<&'static str, u64> = HashMap::new();
-        for (kind, n) in self.mix.drain(..) {
-            counts.insert(kind, n);
+        self.add_mix(ops.iter().map(|op| (kind_name(op), 1)));
+    }
+
+    fn add_mix(&mut self, counts: impl Iterator<Item = (&'static str, u64)>) {
+        let mut merged: HashMap<&'static str, u64> = self.mix.drain(..).collect();
+        for (kind, n) in counts {
+            *merged.entry(kind).or_insert(0) += n;
         }
-        for op in ops {
-            *counts.entry(kind_name(op)).or_insert(0) += 1;
-        }
-        let mut mix: Vec<(&'static str, u64)> = counts.into_iter().collect();
+        let mut mix: Vec<(&'static str, u64)> = merged.into_iter().collect();
         // Descending by count, name-tiebroken: deterministic output.
         mix.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         self.mix = mix;
+    }
+
+    /// Adds `times` copies of `delta` — the report of optimizing one tape
+    /// — as if each copy had been optimized separately. Every total is a
+    /// sum and the op mix is re-sorted from its summed counts, so the
+    /// result is exactly what `times` separate [`optimize`] calls would
+    /// have tallied. `bodies` is left alone: it counts optimizer runs,
+    /// not instances.
+    pub(crate) fn add_scaled(&mut self, delta: &OptReport, times: u64) {
+        self.tapes += delta.tapes * times;
+        self.blocks += delta.blocks * times;
+        self.rounds += delta.rounds * times;
+        self.ops_before += delta.ops_before * times;
+        self.ops_after += delta.ops_after * times;
+        self.regs_before += delta.regs_before * times;
+        self.regs_after += delta.regs_after * times;
+        for (p, d) in self.passes.iter_mut().zip(&delta.passes) {
+            p.ops_before += d.ops_before * times;
+            p.ops_after += d.ops_after * times;
+            p.rewrites += d.rewrites * times;
+            p.regs_reclaimed += d.regs_reclaimed * times;
+        }
+        self.add_mix(delta.mix.iter().map(|&(kind, n)| (kind, n * times)));
     }
 }
 
@@ -1037,13 +1119,13 @@ fn cse(vt: &mut VTape) -> u64 {
     let dominating = dominators(&vt.ops);
     let nregs = vt.nregs as usize;
     let mut ver = vec![0u32; nregs];
-    let mut slot_ver: HashMap<u32, u64> = HashMap::new();
+    let mut slot_ver: HashMap<u32, u64, FxBuild> = HashMap::default();
     // Per slot: the register (and its version) a full `Write` last stored.
-    let mut last_store: HashMap<u32, (VReg, u32)> = HashMap::new();
-    let mut table: HashMap<Key, (VReg, u32)> = HashMap::new();
+    let mut last_store: HashMap<u32, (VReg, u32), FxBuild> = HashMap::default();
+    let mut table: HashMap<Key, (VReg, u32), FxBuild> = HashMap::default();
     // Facts from dominating positions; never cleared. Version pairing
     // still retires entries whose registers are redefined anywhere.
-    let mut global: HashMap<Key, (VReg, u32)> = HashMap::new();
+    let mut global: HashMap<Key, (VReg, u32), FxBuild> = HashMap::default();
     let mut rewrites = 0;
 
     for (i, op) in vt.ops.iter_mut().enumerate() {
@@ -1728,8 +1810,8 @@ fn jump_thread(vt: &mut VTape) -> u64 {
 fn dse(vt: &mut VTape) -> u64 {
     let is_leader = leaders(&vt.ops);
     let mut dead = vec![false; vt.ops.len()];
-    let mut pending_cur: HashMap<u32, usize> = HashMap::new();
-    let mut pending_next: HashMap<u32, usize> = HashMap::new();
+    let mut pending_cur: HashMap<u32, usize, FxBuild> = HashMap::default();
+    let mut pending_next: HashMap<u32, usize, FxBuild> = HashMap::default();
     let mut rewrites = 0;
     for (i, op) in vt.ops.iter().enumerate() {
         if is_leader[i] {
@@ -2221,6 +2303,36 @@ mod tests {
         let (b, _) = opt(vt(ops, 120), &widths);
         assert_eq!(format!("{:?}", a.ops), format!("{:?}", b.ops));
         assert_eq!(a.nregs, b.nregs);
+    }
+
+    /// Merging a one-tape report `n` times must equal optimizing `n`
+    /// tapes into one report, op mix included (the body cache relies on
+    /// it to keep engine reports exact).
+    #[test]
+    fn scaled_merge_equals_repeated_optimization() {
+        let m = mask_of(8);
+        let tapes = [
+            vec![
+                Op::Read { dst: 0, slot: 0 },
+                Op::Read { dst: 1, slot: 0 },
+                Op::Add { dst: 2, a: 0, b: 1, mask: m },
+                Op::Write { slot: 1, src: 2 },
+            ],
+            vec![Op::Const { dst: 0, val: 3 }, Op::Write { slot: 1, src: 0 }],
+        ];
+        let widths = [8u32; 2];
+        let mut direct = OptReport::new();
+        let mut merged = OptReport::new();
+        for (ops, times) in tapes.iter().zip([3, 2]) {
+            let mut delta = OptReport::new();
+            optimize(&mut vt(ops.clone(), 3), &widths, &[], &mut delta);
+            merged.add_scaled(&delta, times);
+            for _ in 0..times {
+                optimize(&mut vt(ops.clone(), 3), &widths, &[], &mut direct);
+            }
+        }
+        assert_eq!(merged, direct);
+        assert_eq!(merged.tapes, 5);
     }
 
     /// A `Jz`-guarded `Write` + `WriteNext` region must convert to

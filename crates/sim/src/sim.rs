@@ -2,12 +2,12 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mtl_bits::Bits;
 use mtl_core::{
-    BlockBody, BlockId, BlockKind, Component, Design, ElabError, MemId, NativeFn, SignalId,
-    SignalKind, SignalView,
+    BlockBody, BlockKind, Component, Design, ElabError, MemId, NativeFn, SignalId, SignalKind,
+    SignalView,
 };
 
 use crate::artifact::ArtifactCache;
@@ -15,9 +15,7 @@ use crate::interp::{exec_stmts, DenseSens, DenseStore, HashSens, HashStore, Sens
 use crate::overheads::Overheads;
 use crate::passes::{optimize, OptReport};
 use crate::profile::{EngineStats, SimProfile};
-use crate::tape::{
-    compile_block, exec_tape, exec_tape_body, fold_stmts, fuse, narrow, validate, widen, Tape,
-};
+use crate::tape::{compile_blocks, exec_tape, exec_tape_body, fuse, narrow, validate, widen, Tape};
 
 /// Simulation engine selection; see `DESIGN.md` for the mapping onto the
 /// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes.
@@ -1727,54 +1725,11 @@ impl TapeEngine {
         let tapes: Arc<Vec<Tape>> = match &reused {
             Some((tapes, ..)) => tapes.clone(),
             None => {
-                // Phase: comp (IR optimization — constant folding).
-                let t0 = Instant::now();
-                let folded: Vec<Option<Vec<mtl_core::Stmt>>> = design
-                    .blocks()
-                    .iter()
-                    .map(|b| match &b.body {
-                        BlockBody::Ir(stmts) => Some(fold_stmts(stmts)),
-                        _ => None,
-                    })
-                    .collect();
-                o.comp += t0.elapsed();
-
-                // Phase: cgen (tape code generation + optimizer pipeline;
-                // the register budget applies to the *narrowed* result,
-                // i.e. post-compaction when the optimizer is on).
-                let t0 = Instant::now();
-                let tapes: Vec<Tape> = design
-                    .blocks()
-                    .iter()
-                    .zip(&folded)
-                    .enumerate()
-                    .map(|(i, (b, f))| match f {
-                        Some(stmts) => {
-                            let mut vt = compile_block(&design, stmts, b.kind);
-                            if let Some(rep) = report.as_mut() {
-                                optimize(&mut vt, &widths, &mem_widths, rep);
-                            }
-                            narrow(&vt, || {
-                                let kind = match b.kind {
-                                    BlockKind::Comb => "comb",
-                                    BlockKind::Seq => "seq",
-                                };
-                                format!(
-                                    "{kind} block `{}`",
-                                    design.block_path(BlockId::from_index(i))
-                                )
-                            })
-                        }
-                        None => Tape::default(),
-                    })
-                    .collect();
-                // Range-check every tape once so the executor's unchecked
-                // accesses are sound.
-                for t in &tapes {
-                    validate(t, design.nets().len(), design.mems().len());
-                }
-                o.cgen += t0.elapsed();
-                Arc::new(tapes)
+                // Phases: comp (constant folding, optimizer) and cgen
+                // (tape code generation; the register budget applies to
+                // the *narrowed* result, i.e. post-compaction when the
+                // optimizer is on).
+                Arc::new(compile_blocks(&design, &widths, &mem_widths, report.as_mut(), o))
             }
         };
         let max_regs = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
@@ -1829,12 +1784,16 @@ impl TapeEngine {
         // static schedule (cgen-adjacent work, charged to simc since it
         // is schedule construction). Re-optimizing the fused tape picks
         // up cross-block wins (CSE/forwarding across block boundaries)
-        // the per-block pipeline cannot see.
+        // the per-block pipeline cannot see; that optimization is
+        // charged to comp.
+        let mut opt_time = Duration::ZERO;
         let mut fuse_opt = |run: &[&Tape], label: &str| -> Tape {
             let mut fused = fuse(run);
             if let Some(rep) = report.as_mut() {
                 let mut vt = widen(&fused);
+                let t = Instant::now();
                 optimize(&mut vt, &widths, &mem_widths, rep);
+                opt_time += t.elapsed();
                 fused = narrow(&vt, || format!("fused {label} schedule"));
             }
             fused
@@ -1885,7 +1844,8 @@ impl TapeEngine {
         };
         let comb_bank = mk_bank(&comb_plan);
         let seq_bank = mk_bank(&seq_plan);
-        o.simc += t0.elapsed();
+        o.comp += opt_time;
+        o.simc += t0.elapsed() - opt_time;
 
         // A cache hit replays the compile-time pass report so the stats
         // remain observable on reused builds.

@@ -6,8 +6,14 @@
 //! engines lower each IR block to a flat three-address tape with
 //! pre-resolved net slots, precomputed masks, and constant-folded operands.
 
+use std::collections::hash_map::{Entry, HashMap};
+use std::time::{Duration, Instant};
+
 use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
-use mtl_core::{BlockKind, Design, MemId, SignalId};
+use mtl_core::{BlockBody, BlockId, BlockKind, Design, MemId, SignalId};
+
+use crate::overheads::Overheads;
+use crate::passes::{optimize, FxBuild, OptReport};
 
 /// A physical register index within an executable tape. Kept at 16 bits so
 /// every hot [`Op`] variant packs into 32 bytes.
@@ -23,7 +29,7 @@ pub(crate) type VReg = u32;
 /// (the default) is what the executor runs, `Op<VReg>` is what the
 /// compiler emits and the optimizer transforms. `mask` fields are
 /// precomputed width masks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Op<R = Reg> {
     Const {
         dst: R,
@@ -345,10 +351,34 @@ impl<R: Copy> Op<R> {
             Op::Jmp { target } => Op::Jmp { target },
         }
     }
+
+    /// The net slot the op reads or writes, if any.
+    fn slot_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Read { slot, .. }
+            | Op::Write { slot, .. }
+            | Op::WriteMasked { slot, .. }
+            | Op::WriteNext { slot, .. }
+            | Op::WriteNextMasked { slot, .. }
+            | Op::WriteIf { slot, .. }
+            | Op::WriteNextIf { slot, .. } => Some(slot),
+            _ => None,
+        }
+    }
+
+    /// The memory the op reads or writes, if any.
+    fn mem_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::MemRead { mem, .. } | Op::MemWrite { mem, .. } | Op::MemWriteIf { mem, .. } => {
+                Some(mem)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A compiled update block in executable (physical-register) form.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Tape {
     pub ops: Vec<Op>,
     /// Register file size. `u32` (not [`Reg`]) so the full 65536-register
@@ -427,6 +457,230 @@ pub(crate) fn compile_block(design: &Design, stmts: &[Stmt], kind: BlockKind) ->
         c.emit_stmt(s);
     }
     VTape { ops: c.ops, nregs: c.next_reg, prelude: 0 }
+}
+
+/// A block body with its slot binding factored out: the tape with every
+/// net slot replaced by its rank among the block's distinct slots (and
+/// every memory likewise), plus the widths of the ranked nets and
+/// memories — everything the optimizer and `narrow` can observe. Two
+/// blocks with equal keys optimize to the same canonical tape.
+#[derive(PartialEq, Eq, Hash)]
+struct BodyKey {
+    kind: BlockKind,
+    nregs: u32,
+    ops: Vec<Op<VReg>>,
+    widths: Vec<u32>,
+    mem_widths: Vec<u32>,
+}
+
+/// One distinct body's compiled result, shared by every instance.
+struct Body {
+    /// The narrowed tape over ranked slots and memories.
+    tape: Tape,
+    /// What optimizing the body added to the report (`None` with the
+    /// optimizer off).
+    delta: Option<OptReport>,
+    /// How many blocks share this body.
+    instances: u64,
+}
+
+/// Rewrites a tape's slots and memories to their ranks, returning the
+/// sorted distinct slots and memories (rank `r` stands for `slots[r]`).
+/// Ranking is monotone, so slot order within the block is preserved.
+fn canonicalize(ops: &mut [Op<VReg>]) -> (Vec<u32>, Vec<u32>) {
+    let mut slots = Vec::new();
+    let mut mems = Vec::new();
+    for op in ops.iter_mut() {
+        slots.extend(op.slot_mut().map(|s| *s));
+        mems.extend(op.mem_mut().map(|m| *m));
+    }
+    slots.sort_unstable();
+    slots.dedup();
+    mems.sort_unstable();
+    mems.dedup();
+    let rank = |sorted: &[u32], x: u32| sorted.binary_search(&x).expect("collected above") as u32;
+    for op in ops.iter_mut() {
+        if let Some(s) = op.slot_mut() {
+            *s = rank(&slots, *s);
+        }
+        if let Some(m) = op.mem_mut() {
+            *m = rank(&mems, *m);
+        }
+    }
+    (slots, mems)
+}
+
+fn block_context(design: &Design, i: usize) -> String {
+    let kind = match design.blocks()[i].kind {
+        BlockKind::Comb => "comb",
+        BlockKind::Seq => "seq",
+    };
+    format!("{kind} block `{}`", design.block_path(BlockId::from_index(i)))
+}
+
+/// Compiles every block of `design` to an executable tape (native blocks
+/// get an empty one), running the optimizer per block when `report` is
+/// given. This is the per-block pipeline both tape engines share.
+///
+/// Each distinct block body is optimized and narrowed **once**. A block's
+/// raw tape is put in canonical form ([`canonicalize`]) and keyed with
+/// the widths of the nets and memories it touches; the optimizer reads
+/// slots only through those widths and compares them only for equality,
+/// so every block with an equal key optimizes to the same canonical
+/// tape. Each instance gets that tape with its ranks mapped back to its
+/// own slots and memories, and is validated on its own. The report
+/// counts every instance exactly as separate optimization would, plus
+/// [`OptReport::bodies`]. A register-budget panic names the first block
+/// (in block order) with the offending body.
+///
+/// Charges constant folding and optimization to `o.comp`, everything
+/// else (emission, canonicalization, narrowing, stamping, validation) to
+/// `o.cgen`.
+pub(crate) fn compile_blocks(
+    design: &Design,
+    widths: &[u32],
+    mem_widths: &[u32],
+    report: Option<&mut OptReport>,
+    o: &mut Overheads,
+) -> Vec<Tape> {
+    let t0 = Instant::now();
+    let folded: Vec<Option<Vec<Stmt>>> = design
+        .blocks()
+        .iter()
+        .map(|b| match &b.body {
+            BlockBody::Ir(stmts) => Some(fold_stmts(stmts)),
+            _ => None,
+        })
+        .collect();
+    o.comp += t0.elapsed();
+
+    let t0 = Instant::now();
+    let mut opt_time = Duration::ZERO;
+    let mut bodies: HashMap<BodyKey, Body, FxBuild> = HashMap::default();
+    let mut tapes = Vec::with_capacity(folded.len());
+    for (i, (b, f)) in design.blocks().iter().zip(&folded).enumerate() {
+        let Some(stmts) = f else {
+            tapes.push(Tape::default());
+            continue;
+        };
+        let mut vt = compile_block(design, stmts, b.kind);
+        let (slots, mems) = canonicalize(&mut vt.ops);
+        let key = BodyKey {
+            kind: b.kind,
+            nregs: vt.nregs,
+            ops: vt.ops,
+            widths: slots.iter().map(|&s| widths[s as usize]).collect(),
+            mem_widths: mems.iter().map(|&m| mem_widths[m as usize]).collect(),
+        };
+        let body = match bodies.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let key = e.key();
+                let mut vt = VTape { ops: key.ops.clone(), nregs: key.nregs, prelude: 0 };
+                let delta = report.is_some().then(|| {
+                    let t = Instant::now();
+                    let mut delta = OptReport { blocks: 1, ..OptReport::new() };
+                    optimize(&mut vt, &key.widths, &key.mem_widths, &mut delta);
+                    opt_time += t.elapsed();
+                    delta
+                });
+                let tape = narrow(&vt, || block_context(design, i));
+                e.insert(Body { tape, delta, instances: 0 })
+            }
+        };
+        body.instances += 1;
+        let mut tape = body.tape.clone();
+        for op in &mut tape.ops {
+            if let Some(s) = op.slot_mut() {
+                *s = slots[*s as usize];
+            }
+            if let Some(m) = op.mem_mut() {
+                *m = mems[*m as usize];
+            }
+        }
+        // Range-check every stamped tape so the executors' unchecked
+        // accesses are sound.
+        validate(&tape, widths.len(), mem_widths.len());
+        tapes.push(tape);
+    }
+    if let Some(rep) = report {
+        rep.bodies += bodies.len() as u64;
+        // Every merged quantity is a sum, so map order does not matter.
+        for body in bodies.values() {
+            if let Some(delta) = &body.delta {
+                rep.add_scaled(delta, body.instances);
+            }
+        }
+    }
+    o.comp += opt_time;
+    o.cgen += t0.elapsed() - opt_time;
+    tapes
+}
+
+/// Per-block tapes and optimizer report for one design, as built by
+/// [`block_tapes`] (the engines' pipeline) or [`reference_block_tapes`]
+/// (no body sharing). Test support for the body-dedup oracle.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct BlockTapes {
+    tapes: Vec<Tape>,
+    /// The optimizer report; `None` with the optimizer off.
+    pub report: Option<OptReport>,
+}
+
+impl BlockTapes {
+    /// `None` if both hold op-for-op identical tapes, else a description
+    /// of the first difference.
+    pub fn tape_mismatch(&self, other: &BlockTapes) -> Option<String> {
+        if self.tapes.len() != other.tapes.len() {
+            return Some(format!("{} tapes vs {}", self.tapes.len(), other.tapes.len()));
+        }
+        let i = self.tapes.iter().zip(&other.tapes).position(|(a, b)| a != b)?;
+        Some(format!("block {i} differs:\n{:?}\nvs\n{:?}", self.tapes[i], other.tapes[i]))
+    }
+}
+
+/// The block tapes the tape engines build for `design`
+/// ([`compile_blocks`]), with the optimizer on or off.
+#[doc(hidden)]
+pub fn block_tapes(design: &Design, opt: bool) -> BlockTapes {
+    let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
+    let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
+    let mut report = opt.then(OptReport::new);
+    let tapes =
+        compile_blocks(design, &widths, &mem_widths, report.as_mut(), &mut Overheads::default());
+    BlockTapes { tapes, report }
+}
+
+/// The reference for [`block_tapes`]: every block compiled, optimized
+/// and narrowed on its own against the full design width tables, with no
+/// canonical form and no sharing. Its report counts every IR block as a
+/// body.
+#[doc(hidden)]
+pub fn reference_block_tapes(design: &Design, opt: bool) -> BlockTapes {
+    let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
+    let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
+    let mut report = opt.then(OptReport::new);
+    let tapes = design
+        .blocks()
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let BlockBody::Ir(stmts) = &b.body else {
+                return Tape::default();
+            };
+            let mut vt = compile_block(design, &fold_stmts(stmts), b.kind);
+            if let Some(rep) = report.as_mut() {
+                optimize(&mut vt, &widths, &mem_widths, rep);
+                rep.blocks += 1;
+                rep.bodies += 1;
+            }
+            let tape = narrow(&vt, || block_context(design, i));
+            validate(&tape, widths.len(), mem_widths.len());
+            tape
+        })
+        .collect();
+    BlockTapes { tapes, report }
 }
 
 /// Validates that every register and memory index in a tape is in range;

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# CI stage 2.2 — tape optimizer gate. Two checks:
+# CI stage 2.2 — tape optimizer gate. Three checks:
 #
 #   1. Opt-diff differential fuzz: 250 seed-pinned random RTL designs,
 #      each run under every tape engine with the pass pipeline pinned
 #      off AND pinned on (10 engine configurations), diffing every
 #      net's settled value every cycle plus the logical event/call
 #      profiles. This is the optimizer's correctness contract.
-#   2. A/B speedup smoke: the fig14 RTL mesh measured with the
+#   2. Body-dedup oracle: the engines optimize each distinct block body
+#      once and stamp it into every instance; the oracle compares that
+#      op for op (and the optimizer report) against compiling every
+#      block on its own, over the design registry, 4/16/64-tile SoCs and
+#      pinned random RTL seeds, with the optimizer off and on.
+#   3. A/B speedup smoke: the fig14 RTL mesh measured with the
 #      optimizer off and on; the run fails if the optimized
 #      specialized-opt rate drops below the unoptimized one (the
 #      pipeline must never pessimize the headline workload).
@@ -18,6 +23,9 @@ ci_stage opt
 
 echo "== opt-diff fuzz: 250 iterations, seed 7, optimizer off vs on"
 cargo run -p mtl-bench --release --bin fuzz -- --opt-diff --iters 250 --seed 7
+
+echo "== body-dedup oracle: per-body vs per-block compilation"
+cargo test -p mtl-bench --release --test body_dedup
 
 echo "== opt speedup smoke: fig14 mesh, optimizer off vs on"
 RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \
