@@ -176,15 +176,12 @@ impl Spec {
         // The engine configuration is part of the journal identity: a
         // resume under a different scalar engine (or a build where the
         // batch series is disabled) must invalidate the journal rather
-        // than splice incompatible results together. Thread count is
-        // read *before* run() pins MTL_SIM_THREADS, so the string is
-        // stable across re-invocations of the same command line.
-        let threads = std::env::var("MTL_SIM_THREADS").unwrap_or_else(|_| "auto".into());
+        // than splice incompatible results together.
         let batch = if self.batch_duts.is_empty() { "" } else { "+specialized-batch" };
         let mut campaign = Campaign::new(self.report_name)
             .retry(1)
             .journal(journal)
-            .engine_config(format!("{}{batch} threads={threads}", self.engine));
+            .engine_config(format!("{}{batch}", self.engine));
         for &dut in &self.duts {
             for chunk in 0..self.chunks {
                 campaign = campaign.job(self.fault_job(dut, chunk));

@@ -9,10 +9,8 @@
 //! simulator plays the role of the paper's hand-coded C++/Verilator
 //! baselines.
 //!
-//! The 16 measurements (3 levels × 5 engines + the handwritten baseline)
-//! run as an `mtl-sweep` campaign and land in `BENCH_fig14.json`. The
-//! `specialized-par` series records its worker-thread count (resolved
-//! from `MTL_SIM_THREADS` / available parallelism) in its job params.
+//! The 13 measurements (3 levels × 4 engines + the handwritten baseline)
+//! run as an `mtl-sweep` campaign and land in `BENCH_fig14.json`.
 //! Pass `--profile` to enable simulation profiling in every engine job
 //! and attach the hottest blocks to each job's `profile` report section;
 //! pass `--smoke` for a fast CI-sized run (same campaign shape, much
@@ -101,11 +99,6 @@ fn engine_job(level: NetLevel, engine: Engine, profile: bool, smoke: bool) -> Jo
     .param("injection_permille", INJECTION)
     .budget(Duration::from_secs(if smoke { 20 } else { 60 }))
     .uncacheable();
-    // The parallel engine's rate depends on its worker count; record it
-    // so the series is interpretable without knowing the machine.
-    if engine == Engine::SpecializedPar {
-        job = job.param("threads", mtl_sim::default_threads());
-    }
     if profile {
         job = job.expects_profile();
     }

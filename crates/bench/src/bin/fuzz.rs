@@ -1,9 +1,8 @@
 //! Differential fuzzing front end.
 //!
-//! Runs the `mtl-check` five-engine differential fuzzer (six simulator
-//! configurations: every engine, with specialized-par at 1 and 4 worker
-//! threads) over seed-derived random designs and exits non-zero on the
-//! first minimized mismatch.
+//! Runs the `mtl-check` four-engine differential fuzzer (one simulator
+//! per scalar engine) over seed-derived random designs and exits non-zero
+//! on the first minimized mismatch.
 //!
 //! Usage:
 //!   cargo run -p mtl-bench --release --bin fuzz -- \
@@ -18,8 +17,8 @@
 //! temp-file + rename so a partial file is never left behind).
 //!
 //! With `--opt-diff`, runs the optimizer-differential engine set instead
-//! of the default six: both interpreters plus every tape-compiling
-//! configuration twice, tape optimizer pinned off and pinned on (ten
+//! of the default four: both interpreters plus both tape-compiling
+//! engines twice, tape optimizer pinned off and pinned on (six
 //! configurations), so a miscompiling optimizer pass fails the run.
 //!
 //! With `--fault`, runs the fault-differential mode instead: each

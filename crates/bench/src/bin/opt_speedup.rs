@@ -32,7 +32,7 @@ use mtl_sweep::{Campaign, CampaignReport};
 const NROUTERS: usize = 64;
 const INJECTION: u32 = 300; // near saturation for the 8x8 mesh (fig14 config)
 const LEVELS: [NetLevel; 2] = [NetLevel::Cl, NetLevel::Rtl];
-const ENGINES: [Engine; 3] = [Engine::Specialized, Engine::SpecializedOpt, Engine::SpecializedPar];
+const ENGINES: [Engine; 2] = [Engine::Specialized, Engine::SpecializedOpt];
 
 fn job_name(level: NetLevel, engine: Engine, opt: bool) -> String {
     format!("{level}/{engine}{}", if opt { "+opt" } else { "+noopt" })
@@ -62,7 +62,7 @@ fn reps(smoke: bool) -> usize {
 fn ab_job(level: NetLevel, engine: Engine, opt: bool, smoke: bool) -> mtl_sweep::Job {
     let (min_wall, max_cycles) = window(smoke);
     let n_reps = reps(smoke);
-    let mut job = mtl_sweep::Job::new(job_name(level, engine, opt), move |ctx| {
+    mtl_sweep::Job::new(job_name(level, engine, opt), move |ctx| {
         let harness = mesh_harness(level, NROUTERS, INJECTION);
         let cfg = SimConfig { tape_opt: Some(opt), ..Default::default() };
         let (m, report) = measure_rate_best_of(
@@ -91,11 +91,7 @@ fn ab_job(level: NetLevel, engine: Engine, opt: bool, smoke: bool) -> mtl_sweep:
     .param("nrouters", NROUTERS)
     .param("injection_permille", INJECTION)
     .budget(Duration::from_secs(if smoke { 30 } else { 90 }))
-    .uncacheable();
-    if engine == Engine::SpecializedPar {
-        job = job.param("threads", mtl_sim::default_threads());
-    }
-    job
+    .uncacheable()
 }
 
 fn rate(report: &CampaignReport, name: &str) -> Option<f64> {

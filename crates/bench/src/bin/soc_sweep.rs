@@ -26,7 +26,7 @@
 //!
 //! `--verify-engines` is the CI engine-agreement gate on the *composed*
 //! design: 16-tile SoCs at CL and RTL run under Interpreted,
-//! SpecializedOpt, and SpecializedPar@4 and every outcome field
+//! Specialized, and SpecializedOpt and every outcome field
 //! (drain cycle, checksum, packet counts) must agree exactly; any
 //! disagreement exits nonzero. This is the acceptance bar that engine
 //! choice stays a performance knob on hierarchical compositions.
@@ -44,7 +44,7 @@ use mtl_bench::{arg_value, banner, write_bench_json, write_bench_report};
 use mtl_net::NetLevel;
 use mtl_proc::{CacheLevel, ProcLevel};
 use mtl_serve::Client;
-use mtl_sim::{Engine, Sim, SimConfig};
+use mtl_sim::{Engine, Sim};
 use mtl_soc::{run_soc_compute_on, run_soc_traffic_on, Soc, SocConfig, SocTraffic, TrafficOutcome};
 use mtl_sweep::{Campaign, CampaignReport, Job, JobMetrics, Json};
 
@@ -378,15 +378,10 @@ fn run_serve(spec: &Spec, socket: &str, journal: Option<&str>) -> Result<(), Str
 }
 
 /// The CI engine-agreement gate: 16-tile SoCs at CL and RTL must produce
-/// field-identical outcomes under Interpreted, SpecializedOpt, and
-/// SpecializedPar at 4 explicit worker threads. Returns the number of
-/// disagreeing configurations.
+/// field-identical outcomes under Interpreted, Specialized, and
+/// SpecializedOpt. Returns the number of disagreeing configurations.
 fn verify_engines() -> u32 {
-    let configs: [(Engine, Option<usize>); 3] = [
-        (Engine::Interpreted, None),
-        (Engine::SpecializedOpt, None),
-        (Engine::SpecializedPar, Some(4)),
-    ];
+    let engines = [Engine::Interpreted, Engine::Specialized, Engine::SpecializedOpt];
     let mut mismatches = 0;
     println!("\n--- engine agreement on the composed 16-tile SoC ---");
     for net in [NetLevel::Cl, NetLevel::Rtl] {
@@ -396,14 +391,9 @@ fn verify_engines() -> u32 {
         let soc = Soc::new(SocConfig::synthetic(16, net, SocTraffic::Hotspot).with_limit(16));
         let golden = soc.golden_checksum().expect("synthetic workload");
         let mut outcomes: Vec<(String, TrafficOutcome)> = Vec::new();
-        for &(engine, threads) in &configs {
-            let cfg = SimConfig { threads, ..Default::default() };
-            let sim = Sim::build_with_config(&soc, engine, &cfg).expect("16-tile SoC elaborates");
-            let label = match threads {
-                Some(t) => format!("{engine}@{t}"),
-                None => engine.to_string(),
-            };
-            outcomes.push((label, run_soc_traffic_on(&soc, sim, 30_000)));
+        for engine in engines {
+            let sim = Sim::build(&soc, engine).expect("16-tile SoC elaborates");
+            outcomes.push((engine.to_string(), run_soc_traffic_on(&soc, sim, 30_000)));
         }
         let (ref_label, reference) = &outcomes[0];
         let agreed = outcomes.iter().all(|(_, o)| {

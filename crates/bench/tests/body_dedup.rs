@@ -148,7 +148,7 @@ fn aliased_reads_do_not_share_with_distinct_reads() {
 fn soc64_compiles_a_tenth_of_its_blocks() {
     let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::UniformRandom));
     let mut counts = Vec::new();
-    for engine in [Engine::SpecializedOpt, Engine::SpecializedPar] {
+    for engine in [Engine::Specialized, Engine::SpecializedOpt] {
         let sim = Sim::build(&soc, engine).expect("elaboration failed");
         let rep = sim.opt_report().expect("optimizer on by default");
         assert!(rep.bodies * 10 < rep.blocks, "{engine:?}: {} of {}", rep.bodies, rep.blocks);

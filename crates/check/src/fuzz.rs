@@ -1,13 +1,13 @@
-//! Five-engine differential fuzzer.
+//! Four-engine differential fuzzer.
 //!
 //! A deterministic, seed-driven loop: each iteration derives a design seed
 //! (splitmix64 over the base seed and the iteration index), generates a
-//! [`RandomRtl`] design, and runs it under **six** simulators — all five
-//! engines, with `SpecializedPar` at both 1 and 4 worker threads — driving
-//! identical random stimulus into every one. After every cycle the settled
-//! value of every signal and the logical profile counters (per-block
-//! execution counts and per-net activity, which are a pure function of the
-//! value trace) are compared against the `Interpreted` reference.
+//! [`RandomRtl`] design, and runs it under the four scalar engines
+//! ([`Engine::ALL`]), driving identical random stimulus into every one.
+//! After every cycle the settled value of every signal and the logical
+//! profile counters (per-block execution counts and per-net activity,
+//! which are a pure function of the value trace) are compared against
+//! the `Interpreted` reference.
 //!
 //! On a mismatch the failing descriptor is [`shrink`]-minimized — drop the
 //! memory write, zero out register and wire expressions, prune
@@ -27,34 +27,22 @@ use crate::rtl::{expr_width, repro_snippet, RandomRtl, Rng, RtlDesc, RtlShape};
 /// One engine configuration under test.
 #[derive(Debug, Clone)]
 pub struct EngineSel {
-    /// Display label, e.g. `specialized-par@4`.
+    /// Display label, e.g. `specialized-opt+noopt`.
     pub label: String,
     /// The engine.
     pub engine: Engine,
-    /// Explicit worker-thread count (`SpecializedPar` only).
-    pub threads: Option<usize>,
     /// Tape-optimizer override for this configuration (`None` defers to
     /// the environment default; tape-free engines ignore it).
     pub tape_opt: Option<bool>,
 }
 
-/// The six simulator configurations every design runs under: all five
-/// engines, with `SpecializedPar` pinned to 1 and 4 worker threads.
+/// The four simulator configurations every design runs under: one per
+/// scalar engine in [`Engine::ALL`].
 pub fn engines_under_test() -> Vec<EngineSel> {
-    let mut sels: Vec<EngineSel> = Engine::ALL
+    Engine::ALL
         .iter()
-        .filter(|&&e| e != Engine::SpecializedPar)
-        .map(|&e| EngineSel { label: e.to_string(), engine: e, threads: None, tape_opt: None })
-        .collect();
-    for threads in [1usize, 4] {
-        sels.push(EngineSel {
-            label: format!("{}@{threads}", Engine::SpecializedPar),
-            engine: Engine::SpecializedPar,
-            threads: Some(threads),
-            tape_opt: None,
-        });
-    }
-    sels
+        .map(|&e| EngineSel { label: e.to_string(), engine: e, tape_opt: None })
+        .collect()
 }
 
 /// The optimizer-differential configuration set: both interpreters (the
@@ -65,23 +53,13 @@ pub fn engines_under_test() -> Vec<EngineSel> {
 pub fn engines_under_test_opt_diff() -> Vec<EngineSel> {
     let mut sels: Vec<EngineSel> = [Engine::Interpreted, Engine::InterpretedOpt]
         .iter()
-        .map(|&e| EngineSel { label: e.to_string(), engine: e, threads: None, tape_opt: None })
+        .map(|&e| EngineSel { label: e.to_string(), engine: e, tape_opt: None })
         .collect();
-    for (engine, threads) in [
-        (Engine::Specialized, None),
-        (Engine::SpecializedOpt, None),
-        (Engine::SpecializedPar, Some(1usize)),
-        (Engine::SpecializedPar, Some(4usize)),
-    ] {
+    for engine in [Engine::Specialized, Engine::SpecializedOpt] {
         for opt in [false, true] {
-            let base = match threads {
-                Some(t) => format!("{engine}@{t}"),
-                None => engine.to_string(),
-            };
             sels.push(EngineSel {
-                label: format!("{base}{}", if opt { "+opt" } else { "+noopt" }),
+                label: format!("{engine}{}", if opt { "+opt" } else { "+noopt" }),
                 engine,
-                threads,
                 tape_opt: Some(opt),
             });
         }
@@ -176,7 +154,7 @@ pub struct FuzzConfig {
     /// Maximum number of candidate re-runs the shrinker may spend.
     pub shrink_budget: u32,
     /// Run the optimizer-differential engine set
-    /// ([`engines_under_test_opt_diff`]) instead of the default six.
+    /// ([`engines_under_test_opt_diff`]) instead of the default four.
     pub opt_diff: bool,
     /// Run the bit-sliced batch differential instead
     /// ([`run_differential_batch`]): one `SpecializedBatch` simulator
@@ -281,7 +259,7 @@ pub fn run_differential_with(
 ) -> Option<Divergence> {
     let mut sims: Vec<Sim> = Vec::with_capacity(sels.len());
     for sel in sels {
-        let cfg = SimConfig { threads: sel.threads, tape_opt: sel.tape_opt, lanes: None };
+        let cfg = SimConfig { tape_opt: sel.tape_opt, lanes: None };
         match Sim::build_with_config(&RandomRtl::from_desc(desc.clone()), sel.engine, &cfg) {
             Ok(sim) => sims.push(sim),
             Err(e) => {
@@ -380,7 +358,7 @@ pub fn run_differential_with(
 pub fn run_differential_batch(desc: &RtlDesc, cycles: u64, lanes: u32) -> Option<Divergence> {
     let lanes = lanes.clamp(1, mtl_sim::BATCH_LANES);
     let comp = RandomRtl::from_desc(desc.clone());
-    let cfg = SimConfig { threads: None, tape_opt: None, lanes: Some(lanes) };
+    let cfg = SimConfig { tape_opt: None, lanes: Some(lanes) };
     let mut batch = match Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg) {
         Ok(sim) => sim,
         Err(e) => {

@@ -1,4 +1,4 @@
-//! Verification tools for RustMTL: the design linter and the five-engine
+//! Verification tools for RustMTL: the design linter and the four-engine
 //! differential fuzzer.
 //!
 //! The paper's model/tool split makes every analysis a consumer of the
@@ -15,11 +15,10 @@
 //!   elaboration entry point that preserves defective designs for
 //!   diagnosis.
 //! * **Differential fuzzer** — [`fuzz`] generates seeded [`RandomRtl`]
-//!   designs and runs each under all five engines (`SpecializedPar` at 1
-//!   and 4 threads), comparing settled values and logical profile counts
-//!   cycle-by-cycle; mismatches are shrunk ([`shrink`]) and reported as
-//!   ready-to-paste Rust reproducers (written durably with
-//!   [`write_repro_atomic`]).
+//!   designs and runs each under the four scalar engines, comparing
+//!   settled values and logical profile counts cycle-by-cycle;
+//!   mismatches are shrunk ([`shrink`]) and reported as ready-to-paste
+//!   Rust reproducers (written durably with [`write_repro_atomic`]).
 //! * **Fault differential** — [`fault_fuzz`] extends the agreement
 //!   property to *faulted* runs: a seeded `mtl_fault::FaultPlan` is drawn
 //!   over each random design and every engine must produce the identical

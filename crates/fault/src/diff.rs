@@ -63,16 +63,14 @@ pub struct FaultReport {
 pub struct DiffConfig {
     /// Engine both runs use.
     pub engine: Engine,
-    /// `SpecializedPar` worker count (`None`: engine default).
-    pub threads: Option<usize>,
     /// Observation window: cycles simulated after `reset()`.
     pub cycles: u64,
 }
 
 impl DiffConfig {
-    /// A window of `cycles` on the given engine with default threading.
+    /// A window of `cycles` on the given engine.
     pub fn new(engine: Engine, cycles: u64) -> DiffConfig {
-        DiffConfig { engine, threads: None, cycles }
+        DiffConfig { engine, cycles }
     }
 }
 
@@ -81,7 +79,7 @@ fn build(
     cfg: &DiffConfig,
     shared: Option<(&mtl_sim::ArtifactCache, u64)>,
 ) -> Result<Sim, String> {
-    let sim_cfg = SimConfig { threads: cfg.threads, ..Default::default() };
+    let sim_cfg = SimConfig::default();
     match shared {
         Some((cache, key)) => Sim::build_shared(top, cfg.engine, &sim_cfg, cache, key),
         None => Sim::build_with_config(top, cfg.engine, &sim_cfg),
@@ -398,16 +396,10 @@ fn run_diff_batch_inner(
     Ok(reports)
 }
 
-/// The simulator configurations [`engine_agreement`] runs: all five
-/// engines, with `SpecializedPar` additionally pinned to 1 and 4 worker
-/// threads (the partitioned double-buffered paths must agree at every
-/// width).
+/// The simulator configurations [`engine_agreement`] runs: one per
+/// scalar engine in [`Engine::ALL`].
 pub fn agreement_configs(cycles: u64) -> Vec<DiffConfig> {
-    let mut cfgs: Vec<DiffConfig> =
-        Engine::ALL.iter().map(|&e| DiffConfig::new(e, cycles)).collect();
-    cfgs.push(DiffConfig { engine: Engine::SpecializedPar, threads: Some(1), cycles });
-    cfgs.push(DiffConfig { engine: Engine::SpecializedPar, threads: Some(4), cycles });
-    cfgs
+    Engine::ALL.iter().map(|&e| DiffConfig::new(e, cycles)).collect()
 }
 
 /// Runs [`run_diff`] under every configuration of [`agreement_configs`]
@@ -427,22 +419,18 @@ pub fn engine_agreement(
     let cfgs = agreement_configs(cycles);
     let mut reference: Option<(DiffConfig, FaultReport)> = None;
     for cfg in cfgs {
-        let report = run_diff(top, plan, &cfg)
-            .map_err(|e| format!("{} (threads {:?}): {e}", cfg.engine, cfg.threads))?;
+        let report = run_diff(top, plan, &cfg).map_err(|e| format!("{}: {e}", cfg.engine))?;
         match &reference {
             None => reference = Some((cfg, report)),
             Some((ref_cfg, ref_report)) => {
                 if *ref_report != report {
                     return Err(format!(
                         "engines disagree on the faulted run ({}): \
-                         {} (threads {:?}) reported {:?}, \
-                         but {} (threads {:?}) reported {:?}",
+                         {} reported {:?}, but {} reported {:?}",
                         plan.summary(),
                         ref_cfg.engine,
-                        ref_cfg.threads,
                         ref_report,
                         cfg.engine,
-                        cfg.threads,
                         report,
                     ));
                 }

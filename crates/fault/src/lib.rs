@@ -7,16 +7,16 @@
 //! — schedules transient bit-flips and stuck-at-0/1 faults on named nets
 //! and sequential state at chosen cycles. Injection itself lives in
 //! `mtl-sim` as a post-settle/pre-edge hook ([`mtl_sim::Sim::inject`])
-//! driven through engine-agnostic primitives, so all five engines
-//! produce byte-identical faulty traces for the same plan.
+//! driven through engine-agnostic primitives, so every engine produces
+//! byte-identical faulty traces for the same plan.
 //!
 //! On top of the plan vocabulary this crate provides the differential
 //! runner: [`run_diff`] simulates a golden and a faulted instance in
 //! lockstep and reports the first-divergence cycle, the blast radius
 //! (every net that ever diverged), and a masked / silent / detected
 //! classification (see [`Outcome`]); [`engine_agreement`] repeats the
-//! run on every engine (including `SpecializedPar` at 1 and 4 threads)
-//! and asserts the reports and trace fingerprints agree.
+//! run on each of the four scalar engines and asserts the reports and
+//! trace fingerprints agree.
 //!
 //! ```
 //! use mtl_core::{Component, Ctx, Expr};

@@ -58,7 +58,6 @@ pub fn parse_engine(s: &str) -> Result<Engine, String> {
         "interpreted-opt" => Ok(Engine::InterpretedOpt),
         "specialized" => Ok(Engine::Specialized),
         "specialized-opt" => Ok(Engine::SpecializedOpt),
-        "specialized-par" => Ok(Engine::SpecializedPar),
         "specialized-batch" => Ok(Engine::SpecializedBatch),
         other => Err(format!("unknown engine \"{other}\"")),
     }
@@ -158,12 +157,10 @@ pub fn campaign_from_spec(
 
 /// Derives the journal-identity engine string for a spec: the distinct
 /// engines its jobs run under (explicit `engine` fields plus each
-/// kind's default) and the sim-thread budget. Resuming the same
-/// campaign under a different engine or thread count then invalidates
-/// the journal instead of silently replaying results measured
-/// elsewhere. Deliberately derived from the *spec*, not runtime state,
-/// so identical submissions across daemon restarts produce identical
-/// strings (the scheduler pins `MTL_SIM_THREADS` at startup).
+/// kind's default). Resuming the same campaign under a different engine
+/// then invalidates the journal instead of silently replaying results
+/// measured elsewhere. Derived from the *spec* alone, so identical
+/// submissions across daemon restarts produce identical strings.
 fn engine_config_of(jobs: &[Json]) -> String {
     let mut engines: Vec<String> = Vec::new();
     for job_spec in jobs {
@@ -185,16 +182,7 @@ fn engine_config_of(jobs: &[Json]) -> String {
         }
     }
     engines.sort();
-    // Snapshot the thread budget once per process: `Campaign::run` pins
-    // `MTL_SIM_THREADS` lazily mid-run (to a worker-derived value), so a
-    // live read here would make the second spec parse of a process see a
-    // different string than the first and spuriously invalidate the
-    // journal. The daemon pins the variable in `Scheduler::new`, before
-    // any parse, so its snapshot is the pinned value across restarts.
-    static THREADS: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-    let threads = THREADS
-        .get_or_init(|| std::env::var("MTL_SIM_THREADS").unwrap_or_else(|_| "auto".to_string()));
-    format!("{} threads={threads}", engines.join("+"))
+    engines.join("+")
 }
 
 /// Instantiates one job from the kind catalog.

@@ -4,7 +4,7 @@
 //! SimJIT specializers. A [`Sim`] consumes an elaborated
 //! [`Design`](mtl_core::Design) and simulates it under one of five
 //! [`Engine`]s; the first four reproduce the paper's performance regimes
-//! and the fifth parallelizes the fastest one:
+//! and the fifth runs 64 trials of the fastest one at once:
 //!
 //! | Engine | Paper analog | Architecture |
 //! |---|---|---|
@@ -12,7 +12,6 @@
 //! | [`Engine::InterpretedOpt`] | PyPy | event-driven, tree-walking IR, dense pre-resolved storage |
 //! | [`Engine::Specialized`] | SimJIT | IR compiled to a linear tape VM, event-driven dispatch |
 //! | [`Engine::SpecializedOpt`] | SimJIT+PyPy | tape VM plus fully static levelized schedule |
-//! | [`Engine::SpecializedPar`] | multithreaded codegen (e.g. Verilator `--threads`) | fused tapes partitioned into connected components, run on worker threads with double-buffered register nets and a per-cycle barrier |
 //! | [`Engine::SpecializedBatch`] | word-parallel campaign simulation (e.g. bit-sliced fault/fuzz harnesses) | fused tapes lowered to bit-plane programs; one `u64` word per net bit holds 64 independent trial lanes |
 //!
 //! All engines implement identical simulation semantics; the test suite
@@ -28,7 +27,6 @@ mod artifact;
 mod batch;
 mod interp;
 mod overheads;
-mod par;
 pub mod passes;
 pub mod profile;
 mod sim;
@@ -38,7 +36,6 @@ mod vcd;
 pub use artifact::{ArtifactCache, ArtifactStats};
 pub use batch::LANES as BATCH_LANES;
 pub use overheads::Overheads;
-pub use par::default_threads;
 pub use passes::{OptReport, PassStat};
 pub use profile::{Hist, HotBlock, SimProfile};
 pub use sim::{Engine, InjectKind, Injection, Sim, SimConfig};

@@ -111,9 +111,6 @@ pub(crate) struct EngineStats {
     /// Event-queue depth observed at each pop (empty for the static
     /// schedule, which has no queue).
     pub queue_depth: Hist,
-    /// Busy wall nanos per partition/worker thread (the parallel engine
-    /// only; empty elsewhere).
-    pub partition_nanos: Vec<u64>,
 }
 
 impl EngineStats {
@@ -165,12 +162,8 @@ pub struct SimProfile {
     /// Block executions per backend settle pass (engine-specific).
     pub fixpoint_iters: Hist,
     /// Event-queue depth at each pop (engine-specific; empty for
-    /// [`Engine::SpecializedOpt`] and [`Engine::SpecializedPar`], which
-    /// run without a queue).
+    /// [`Engine::SpecializedOpt`], which runs without a queue).
     pub queue_depth: Hist,
-    /// Busy wall nanos per worker thread ([`Engine::SpecializedPar`]
-    /// only; empty elsewhere). Balanced partitions show similar values.
-    pub partition_nanos: Vec<u64>,
     /// Register bit-toggle counts per net (the `enable_activity`
     /// counters), indexed by net.
     pub net_activity: Vec<u64>,
@@ -248,15 +241,6 @@ impl SimProfile {
         } else {
             let _ = writeln!(s, "  event-queue depth:   (static schedule, no queue)");
         }
-        if !self.partition_nanos.is_empty() {
-            let parts: Vec<String> = self.partition_nanos.iter().map(|n| n.to_string()).collect();
-            let _ = writeln!(
-                s,
-                "  partition busy ns:   [{}] over {} workers",
-                parts.join(", "),
-                self.partition_nanos.len()
-            );
-        }
         let hot = self.hot_blocks(top);
         if !hot.is_empty() {
             let path_w = hot.iter().map(|h| h.path.len()).max().unwrap_or(4).max(4);
@@ -318,7 +302,6 @@ mod tests {
             engine_settles: 1,
             fixpoint_iters: Hist::new(),
             queue_depth: Hist::new(),
-            partition_nanos: Vec::new(),
             net_activity: vec![0, 4],
             net_paths: vec!["top.x".into(), "top.y".into()],
         };

@@ -33,13 +33,6 @@ pub enum Engine {
     /// Tapes plus a fully static levelized schedule — no event queue at all
     /// (the SimJIT+PyPy analog).
     SpecializedOpt,
-    /// Fused tapes partitioned into independent combinational islands and
-    /// executed on worker threads with double-buffered cross-partition
-    /// (register) nets and a per-cycle barrier; clean partitions are
-    /// skipped. Cycle-exact with `SpecializedOpt` by construction. Thread
-    /// count comes from `MTL_SIM_THREADS` (default: available cores,
-    /// capped at 8) or [`SimConfig::threads`].
-    SpecializedPar,
     /// Bit-sliced batch engine: the `SpecializedOpt` tapes lowered to a
     /// plane evaluator where each net bit is one `u64` word holding that
     /// bit across 64 independent trial lanes, so one pass over the tape
@@ -53,18 +46,14 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The five scalar engines, in increasing order of specialization.
+    /// The four scalar engines (the paper's four regimes), in increasing
+    /// order of specialization.
     /// [`Engine::SpecializedBatch`] is deliberately excluded: it is
     /// lane-parallel and opt-in (no native-block support), while every
     /// `ALL` consumer iterates single-lane engines over arbitrary
     /// designs.
-    pub const ALL: [Engine; 5] = [
-        Engine::Interpreted,
-        Engine::InterpretedOpt,
-        Engine::Specialized,
-        Engine::SpecializedOpt,
-        Engine::SpecializedPar,
-    ];
+    pub const ALL: [Engine; 4] =
+        [Engine::Interpreted, Engine::InterpretedOpt, Engine::Specialized, Engine::SpecializedOpt];
 }
 
 impl std::fmt::Display for Engine {
@@ -74,7 +63,6 @@ impl std::fmt::Display for Engine {
             Engine::InterpretedOpt => "interpreted-opt",
             Engine::Specialized => "specialized",
             Engine::SpecializedOpt => "specialized-opt",
-            Engine::SpecializedPar => "specialized-par",
             Engine::SpecializedBatch => "specialized-batch",
         };
         write!(f, "{s}")
@@ -84,11 +72,6 @@ impl std::fmt::Display for Engine {
 /// Construction-time simulator configuration.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
-    /// Worker-thread count for [`Engine::SpecializedPar`] (including the
-    /// control thread; `1` means fully sequential execution). `None`
-    /// defers to the `MTL_SIM_THREADS` environment variable, falling back
-    /// to available parallelism capped at 8. Other engines ignore it.
-    pub threads: Option<usize>,
     /// Whether the tape engines run the optimizer pass pipeline
     /// ([`crate::passes`]) over compiled tapes. `None` defers to the
     /// `MTL_TAPE_OPT` environment variable (`0`/`off`/`false`/`no`
@@ -426,8 +409,8 @@ impl Sim {
         Sim::with_config(design, engine, &SimConfig::default())
     }
 
-    /// [`Sim::new`] with explicit configuration (currently the
-    /// `SpecializedPar` worker-thread count).
+    /// [`Sim::new`] with explicit configuration (optimizer switch and
+    /// batch lane count).
     pub fn with_config(design: Design, engine: Engine, cfg: &SimConfig) -> Sim {
         lint_gate(&design);
         // Take ownership of native closures so the Design can be shared.
@@ -442,9 +425,8 @@ impl Sim {
     /// [`ArtifactCache`] for the tape engines' compile output. On a tape
     /// cache hit the `comp`/`cgen` phases (and plan fusion) are skipped;
     /// on a miss the fresh compile is published back to the cache.
-    /// `SpecializedPar` shards its own tapes differently per thread
-    /// count and the interpreters compile nothing, so only the
-    /// `Specialized`/`SpecializedOpt` engines participate.
+    /// The interpreters compile nothing, so only the tape engines
+    /// participate.
     fn make_backend(
         design: &Arc<Design>,
         natives: Vec<Option<NativeFn>>,
@@ -480,13 +462,6 @@ impl Sim {
                 }
                 Box::new(eng)
             }
-            Engine::SpecializedPar => Box::new(crate::par::ParTapeEngine::new(
-                design.clone(),
-                natives,
-                cfg.threads.unwrap_or_else(crate::par::default_threads),
-                cfg.tape_opt_enabled(),
-                overheads,
-            )),
             Engine::SpecializedBatch => {
                 assert!(
                     natives.iter().all(Option::is_none),
@@ -597,8 +572,8 @@ impl Sim {
         Ok(Sim::assemble(design, engine, overheads, backend))
     }
 
-    /// [`Sim::build`] with explicit configuration (e.g. a fixed
-    /// `SpecializedPar` thread count, independent of `MTL_SIM_THREADS`).
+    /// [`Sim::build`] with explicit configuration (e.g. the optimizer
+    /// forced on or off, independent of `MTL_TAPE_OPT`).
     ///
     /// # Errors
     ///
@@ -760,8 +735,8 @@ impl Sim {
     /// in the design's levelized block order with the disturbed value held
     /// forced, then clocks the edge, then re-settles (stuck-at faults stay
     /// forced, flips do not). Because the wrapper drives this sequence
-    /// through engine-agnostic primitives in one fixed order, all five
-    /// engines produce byte-identical faulty traces for the same faults —
+    /// through engine-agnostic primitives in one fixed order, every
+    /// engine produces byte-identical faulty traces for the same faults —
     /// a property `mtl-check` asserts differentially.
     ///
     /// # Panics
@@ -1206,7 +1181,6 @@ impl Sim {
             engine_settles: stats.settles,
             fixpoint_iters: stats.fixpoint.clone(),
             queue_depth: stats.queue_depth.clone(),
-            partition_nanos: stats.partition_nanos.clone(),
             net_activity,
             net_paths,
         })

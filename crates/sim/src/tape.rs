@@ -520,7 +520,7 @@ fn block_context(design: &Design, i: usize) -> String {
 
 /// Compiles every block of `design` to an executable tape (native blocks
 /// get an empty one), running the optimizer per block when `report` is
-/// given. This is the per-block pipeline both tape engines share.
+/// given. This is the per-block pipeline of the tape engines.
 ///
 /// Each distinct block body is optimized and narrowed **once**. A block's
 /// raw tape is put in canonical form ([`canonicalize`]) and keyed with
@@ -1228,9 +1228,10 @@ pub(crate) fn expr_width(design: &Design, e: &Expr) -> u32 {
 /// unchecked accesses sound.
 #[allow(clippy::too_many_arguments)]
 /// Read access to memory columns for the tape executor, so the same
-/// core runs over plain `Vec<u128>` storage (single-threaded engines)
-/// and shared-slot storage (the parallel engine). Mem writes are always
-/// deferred through `pending`, so read access is all the executor needs.
+/// core runs over plain `Vec<u128>` storage (the scalar engines) and
+/// lane-interleaved storage (the batch engine's per-lane fallback). Mem
+/// writes are always deferred through `pending`, so read access is all
+/// the executor needs.
 pub(crate) trait TapeMems {
     /// # Safety
     ///
@@ -1318,8 +1319,7 @@ pub(crate) fn exec_tape<const TRACK: bool>(
 ///   references (ensured by [`validate`]);
 /// - no other thread concurrently writes any slot this tape reads, and
 ///   no other thread concurrently reads or writes any slot this tape
-///   writes (the parallel engine proves this by partition construction;
-///   the single-threaded wrapper has exclusive borrows).
+///   writes (every caller runs single-threaded over exclusive borrows).
 pub(crate) unsafe fn exec_tape_ptr<const TRACK: bool, M: TapeMems + ?Sized>(
     tape: &Tape,
     regs: &mut [u128],

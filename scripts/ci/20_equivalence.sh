@@ -1,12 +1,8 @@
 #!/usr/bin/env bash
-# CI stage 2 — engine equivalence: the randomized five-engine agreement
-# suite, re-run with the parallel engine pinned to 1 and 4 worker threads
-# so both the sequential fallback and the sharded path are exercised.
+# CI stage 2 — engine equivalence: the randomized agreement suite over
+# the four scalar engines, in release mode.
 . "$(dirname "$0")/lib.sh"
 ci_stage equivalence
 
-echo "== equivalence: specialized-par at 1 thread"
-MTL_SIM_THREADS=1 cargo test -q --release --test engine_equivalence
-
-echo "== equivalence: specialized-par at 4 threads"
-MTL_SIM_THREADS=4 cargo test -q --release --test engine_equivalence
+echo "== equivalence: four scalar engines"
+cargo test -q --release --test engine_equivalence

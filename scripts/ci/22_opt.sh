@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI stage 2.2 — tape optimizer gate. Three checks:
+# CI stage 2.2 — tape optimizer gate. Four checks:
 #
 #   1. Opt-diff differential fuzz: 250 seed-pinned random RTL designs,
 #      each run under every tape engine with the pass pipeline pinned
-#      off AND pinned on (10 engine configurations), diffing every
+#      off AND pinned on (6 engine configurations), diffing every
 #      net's settled value every cycle plus the logical event/call
 #      profiles. This is the optimizer's correctness contract.
 #   2. Body-dedup oracle: the engines optimize each distinct block body
@@ -11,7 +11,10 @@
 #      op for op (and the optimizer report) against compiling every
 #      block on its own, over the design registry, 4/16/64-tile SoCs and
 #      pinned random RTL seeds, with the optimizer off and on.
-#   3. A/B speedup smoke: the fig14 RTL mesh measured with the
+#   3. Pass-count golden: the per-pass rewrite counts of every registry
+#      design must match crates/bench/tests/golden/opt_counts.txt
+#      exactly (re-bless with MTL_BLESS=1 after an intended change).
+#   4. A/B speedup smoke: the fig14 RTL mesh measured with the
 #      optimizer off and on; the run fails if the optimized
 #      specialized-opt rate drops below the unoptimized one (the
 #      pipeline must never pessimize the headline workload).
@@ -26,6 +29,9 @@ cargo run -p mtl-bench --release --bin fuzz -- --opt-diff --iters 250 --seed 7
 
 echo "== body-dedup oracle: per-body vs per-block compilation"
 cargo test -p mtl-bench --release --test body_dedup
+
+echo "== opt counts golden: per-pass rewrite counts per registry design"
+cargo test -p mtl-bench --release --test opt_counts
 
 echo "== opt speedup smoke: fig14 mesh, optimizer off vs on"
 RUSTMTL_BENCH_DIR="${RUSTMTL_BENCH_DIR:-target}" \

@@ -3,9 +3,8 @@
 #
 #   (a) seed-pinned fault-differential fuzz: seeded random fault plans on
 #       random RTL designs must produce byte-identical faulty traces and
-#       identical masked/silent/detected reports on every engine
-#       configuration (all five engines + specialized-par at 1/4
-#       threads);
+#       identical masked/silent/detected reports on each of the four
+#       scalar engines;
 #   (b) checkpoint/resume smoke: the fault_sweep --smoke campaign is
 #       killed after two of its five jobs (RUSTMTL_SWEEP_EXIT_AFTER)
 #       and restarted; the restart must replay exactly the journalled
@@ -19,7 +18,7 @@
 . "$(dirname "$0")/lib.sh"
 ci_stage fault
 
-echo "== fault fuzz: 15 iterations, seed 7 (7 engine configs must agree)"
+echo "== fault fuzz: 15 iterations, seed 7 (4 engines must agree)"
 cargo run -p mtl-bench --release --bin fuzz -- --fault --iters 15 --seed 7
 
 JOURNAL=target/sweep-journal/ci_fault_smoke.jsonl

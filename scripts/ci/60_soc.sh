@@ -2,8 +2,8 @@
 # CI stage 6 — multi-tile SoC gate:
 #
 #   (a) engine agreement: the 16-tile SoC (CL and RTL networks, hotspot
-#       traffic) must be cycle-exact across interpreted, specialized-opt,
-#       and specialized-par@4, and every engine must drain to the host
+#       traffic) must be cycle-exact across interpreted, specialized,
+#       and specialized-opt, and every engine must drain to the host
 #       golden checksum (soc_sweep --verify-engines);
 #   (b) seed-pinned smoke campaign: soc_sweep --smoke runs synthetic and
 #       compute SoC points through the mtl-sweep orchestration path with

@@ -3,9 +3,9 @@
 //! Drives the `mtl-check` random design generator ([`RandomRtl`]: random
 //! acyclic RTL with random-width signals, random combinational expression
 //! DAGs, random registers and memories) with random inputs, and checks
-//! that all five simulation engines produce bit-identical values on every
-//! net, every cycle. This is the load-bearing property behind the
-//! framework: engine choice is a performance knob, never a semantics
+//! that all four scalar simulation engines produce bit-identical values
+//! on every net, every cycle. This is the load-bearing property behind
+//! the framework: engine choice is a performance knob, never a semantics
 //! knob. The `fuzz` binary (`crates/bench/src/bin/fuzz.rs`) extends this
 //! with shrinking and reproducer emission; these tests pin specific
 //! seeds and edge-case designs as regressions.
@@ -13,7 +13,7 @@
 use rustmtl::check::RandomRtl;
 use rustmtl::core::{Component, Ctx, Expr};
 use rustmtl::prelude::*;
-use rustmtl::sim::{Engine, Sim, SimConfig};
+use rustmtl::sim::{Engine, Sim};
 
 struct Rng(u64);
 
@@ -129,7 +129,7 @@ fn reset_resettles_combinational_state_on_every_engine() {
 
 /// Profiler consistency: logical per-block execution counts are a pure
 /// function of the value trace, so identical designs and stimulus must
-/// yield identical (and non-zero) counts on all five engines — even
+/// yield identical (and non-zero) counts on all four engines — even
 /// though the physical work each engine does differs wildly.
 #[test]
 fn profiler_block_counts_agree_across_engines() {
@@ -185,7 +185,7 @@ fn profiler_block_counts_agree_across_engines() {
         // the static engine has none, and every engine spent time.
         for p in &profiles {
             match p.engine {
-                Engine::SpecializedOpt | Engine::SpecializedPar => assert_eq!(
+                Engine::SpecializedOpt => assert_eq!(
                     p.queue_depth.samples(),
                     0,
                     "static-schedule engine has no event queue"
@@ -316,9 +316,8 @@ fn zero_width_slice_is_rejected_at_elaboration() {
 }
 
 /// Equivalence must also hold under *perturbation*: a seeded fault plan
-/// injected into a random RTL design makes every engine configuration
-/// (all five engines, plus `SpecializedPar` at 1 and 4 worker threads)
-/// diverge from the golden run *identically* — same faulty-trace
+/// injected into a random RTL design makes each of the four scalar
+/// engines diverge from the golden run *identically* — same faulty-trace
 /// fingerprint, same first-divergence cycle, same masked/silent/detected
 /// classification, same blast radius. Fault injection stresses the
 /// settle machinery differently from clean simulation (forces are
@@ -350,28 +349,17 @@ fn engines_diverge_identically_under_fault_plans() {
 /// 64-tile RTL mesh of traffic-generating tiles is the largest
 /// elaboration in the tree (~15k signals, 64 routers), and the
 /// acceptance bar for `mtl-soc` is that engine choice stays a pure
-/// performance knob on it. Interpreted, SpecializedOpt, and
-/// SpecializedPar at explicit 1 and 4 worker threads must agree on the
-/// architectural ports every cycle and on every net at checkpoints.
+/// performance knob on it. Interpreted and SpecializedOpt must agree on
+/// the architectural ports every cycle and on every net at checkpoints.
 #[test]
 fn engines_agree_on_64_tile_soc() {
     use rustmtl::net::NetLevel;
     use rustmtl::soc::{Soc, SocConfig, SocTraffic};
 
     let soc = Soc::new(SocConfig::synthetic(64, NetLevel::Rtl, SocTraffic::Tornado).with_limit(4));
-    let configs: [(Engine, Option<usize>); 4] = [
-        (Engine::Interpreted, None),
-        (Engine::SpecializedOpt, None),
-        (Engine::SpecializedPar, Some(1)),
-        (Engine::SpecializedPar, Some(4)),
-    ];
-    let mut sims: Vec<Sim> = configs
-        .iter()
-        .map(|&(engine, threads)| {
-            let cfg = SimConfig { threads, ..Default::default() };
-            Sim::build_with_config(&soc, engine, &cfg).expect("64-tile SoC elaborates")
-        })
-        .collect();
+    let engines = [Engine::Interpreted, Engine::SpecializedOpt];
+    let mut sims: Vec<Sim> =
+        engines.iter().map(|&e| Sim::build(&soc, e).expect("64-tile SoC elaborates")).collect();
     let nsignals = sims[0].design().signals().len();
     assert!(nsignals > 10_000, "64-tile RTL SoC should be the largest design in the tree");
     for sim in &mut sims {
@@ -386,13 +374,12 @@ fn engines_agree_on_64_tile_soc() {
         // checked so debug-mode test time stays bounded.
         for port in ports {
             let reference = sims[0].peek_port(port);
-            for (ci, sim) in sims.iter().enumerate().skip(1) {
+            for (ei, sim) in sims.iter().enumerate().skip(1) {
                 assert_eq!(
                     sim.peek_port(port),
                     reference,
-                    "{:?}@{:?} diverged on `{port}` at cycle {cycle}",
-                    configs[ci].0,
-                    configs[ci].1
+                    "{} diverged on `{port}` at cycle {cycle}",
+                    engines[ei]
                 );
             }
         }
@@ -400,13 +387,12 @@ fn engines_agree_on_64_tile_soc() {
             for si in 0..nsignals {
                 let sig = rustmtl::core::SignalId::from_index(si);
                 let reference = sims[0].peek(sig);
-                for (ci, sim) in sims.iter().enumerate().skip(1) {
+                for (ei, sim) in sims.iter().enumerate().skip(1) {
                     assert_eq!(
                         sim.peek(sig),
                         reference,
-                        "{:?}@{:?} diverged on `{}` at cycle {cycle}",
-                        configs[ci].0,
-                        configs[ci].1,
+                        "{} diverged on `{}` at cycle {cycle}",
+                        engines[ei],
                         sims[0].design().signal_path(sig)
                     );
                 }
@@ -436,7 +422,7 @@ fn engines_agree_on_compute_soc() {
         NetLevel::Rtl,
         SocTraffic::UniformRandom,
     ));
-    let engines = [Engine::Interpreted, Engine::SpecializedOpt, Engine::SpecializedPar];
+    let engines = [Engine::Interpreted, Engine::SpecializedOpt];
     let mut sims: Vec<Sim> =
         engines.iter().map(|&e| Sim::build(&soc, e).expect("compute SoC elaborates")).collect();
     for sim in &mut sims {
@@ -466,64 +452,4 @@ fn engines_agree_on_compute_soc() {
     let halted_at = halted_at.expect("compute SoC must halt on every engine");
     assert!(halted_at > 50, "plausible runtime, got {halted_at} cycles");
     assert_eq!(soc.read_results(), soc.expected_results(), "results must match host model");
-}
-
-/// The parallel engine must be cycle-exact with `SpecializedOpt` at
-/// explicit thread counts — fully sequential (1) and sharded (4) —
-/// including the logical profile counters, not just settled values.
-#[test]
-fn specialized_par_matches_opt_at_explicit_thread_counts() {
-    for threads in [1usize, 4] {
-        for seed in [3u64, 7, 12] {
-            let mut opt =
-                Sim::build(&RandomRtl::new(seed), Engine::SpecializedOpt).expect("elaborates");
-            let cfg = SimConfig { threads: Some(threads), ..Default::default() };
-            let mut par =
-                Sim::build_with_config(&RandomRtl::new(seed), Engine::SpecializedPar, &cfg)
-                    .expect("elaborates");
-            opt.enable_profiling();
-            par.enable_profiling();
-            opt.reset();
-            par.reset();
-            let nsignals = opt.design().signals().len();
-            let mut rng = Rng(seed ^ 0xFACE);
-            for cycle in 0..30 {
-                for i in 0..3 {
-                    let name = format!("in{i}");
-                    let w = {
-                        let d = opt.design();
-                        d.signal(d.top_port(&name)).width
-                    };
-                    let v = Bits::new(w, rng.next() as u128 | ((rng.next() as u128) << 64));
-                    opt.poke_port(&name, v);
-                    par.poke_port(&name, v);
-                }
-                opt.cycle();
-                par.cycle();
-                for si in 0..nsignals {
-                    let sig = rustmtl::core::SignalId::from_index(si);
-                    assert_eq!(
-                        par.peek(sig),
-                        opt.peek(sig),
-                        "threads={threads} seed={seed}: diverged on `{}` at cycle {cycle}",
-                        opt.design().signal_path(sig)
-                    );
-                }
-            }
-            let po = opt.profile().expect("profiling enabled");
-            let pp = par.profile().expect("profiling enabled");
-            assert_eq!(pp.block_runs, po.block_runs, "threads={threads} seed={seed}: block runs");
-            assert_eq!(pp.cycles, po.cycles, "threads={threads} seed={seed}: cycles");
-            assert_eq!(pp.settles, po.settles, "threads={threads} seed={seed}: settles");
-            assert_eq!(
-                pp.net_activity, po.net_activity,
-                "threads={threads} seed={seed}: activity counters"
-            );
-            assert!(
-                pp.partition_nanos.len() <= threads.max(1),
-                "threads={threads}: at most {threads} workers expected, got {}",
-                pp.partition_nanos.len()
-            );
-        }
-    }
 }

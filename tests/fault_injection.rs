@@ -8,8 +8,7 @@
 //! 1. **Engine independence** — a seeded fault plan perturbs every
 //!    engine configuration identically: same faulty-trace fingerprint,
 //!    same first-divergence cycle, same classification, same blast
-//!    radius (`engine_agreement` over all five engines plus
-//!    `SpecializedPar` at 1 and 4 threads).
+//!    radius (`engine_agreement` over the four scalar engines).
 //! 2. **Seed determinism** — the same seed draws the same plan and
 //!    produces the same report, run to run.
 //! 3. **Taxonomy coverage** — the masked/silent/detected classes from

@@ -132,6 +132,14 @@ fn protocol_round_trips_and_rejects_bad_specs() {
         let spec = json::parse(bad).unwrap();
         assert!(client.submit(&spec, |_| {}).is_err(), "spec must be rejected: {bad}");
     }
+    // Engine names outside the registry's set are protocol errors too.
+    let spec = json::parse(
+        r#"{"name":"unknown-engine","jobs":[{"kind":"mesh_cycles","name":"j",
+            "level":"CL","nrouters":4,"cycles":10,"engine":"specialized-par"}]}"#,
+    )
+    .unwrap();
+    let err = client.submit(&spec, |_| {}).expect_err("unknown engine must be rejected");
+    assert!(err.contains(r#"unknown engine "specialized-par""#), "{err}");
     // The same connection still works after rejections.
     let report = client
         .submit(&campaign_spec("after-errors", 1, false), |_| {})
