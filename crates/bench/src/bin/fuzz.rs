@@ -7,6 +7,7 @@
 //! Usage:
 //!   cargo run -p mtl-bench --release --bin fuzz -- \
 //!       [--iters N] [--seed S] [--cycles C] [--repro-dir DIR] [--fault] [--opt-diff]
+//!       [--batch [--lanes N]] [--wide]
 //!
 //! Defaults: 100 iterations, seed 7, 25 cycles per design. The run is
 //! fully deterministic in (iters, seed, cycles); CI pins all three so a
@@ -32,6 +33,10 @@
 //! one scalar `Interpreted` reference per lane, every lane driven with
 //! distinct stimulus, every signal of every lane compared after every
 //! cycle. Mismatches shrink-minimize like the default mode.
+//!
+//! With `--wide`, the default and `--opt-diff`/`--batch` modes draw every
+//! signal width from 1..=128 (`RtlShape::wide`) instead of the default
+//! caps, so most designs run tapes on `u128` registers.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -40,6 +45,7 @@ use std::time::Instant;
 use mtl_bench::arg_value;
 use mtl_check::{
     design_seed, fault_fuzz_one, fuzz_one, write_repro_atomic, FaultFuzzConfig, FuzzConfig,
+    RtlShape,
 };
 
 fn fault_main(seed_arg: Option<u64>, iters_arg: Option<u64>, cycles_arg: Option<u64>) -> ExitCode {
@@ -101,6 +107,10 @@ fn main() -> ExitCode {
         cfg.cycles = v;
     }
     cfg.opt_diff = std::env::args().any(|a| a == "--opt-diff");
+    let wide = std::env::args().any(|a| a == "--wide");
+    if wide {
+        cfg.shape = RtlShape::wide();
+    }
     if std::env::args().any(|a| a == "--batch") {
         let lanes: u32 = arg_value("--lanes")
             .map(|v| v.parse().expect("--lanes takes an integer"))
@@ -118,13 +128,18 @@ fn main() -> ExitCode {
     };
     match cfg.batch_lanes {
         Some(lanes) => println!(
-            "differential fuzz (bit-sliced batch): {} iterations, base seed {}, \
+            "differential fuzz (bit-sliced batch{}): {} iterations, base seed {}, \
              {} cycles/design, {lanes} lanes vs interpreted references",
-            cfg.iters, cfg.seed, cfg.cycles,
+            if wide { ", wide shape" } else { "" },
+            cfg.iters,
+            cfg.seed,
+            cfg.cycles,
         ),
         None => println!(
-            "differential fuzz{}: {} iterations, base seed {}, {} cycles/design, {} engine configs",
+            "differential fuzz{}{}: {} iterations, base seed {}, {} cycles/design, \
+             {} engine configs",
             if cfg.opt_diff { " (optimizer-differential)" } else { "" },
+            if wide { " (wide shape)" } else { "" },
             cfg.iters,
             cfg.seed,
             cfg.cycles,

@@ -40,7 +40,8 @@ impl Rng {
 }
 
 /// Shape knobs for [`RtlDesc::generate`]: how many of each signal class to
-/// generate and how deep the random expression trees grow.
+/// generate, how wide each class may be, and how deep the random
+/// expression trees grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtlShape {
     /// Number of top-level input ports (`in0..`).
@@ -51,11 +52,22 @@ pub struct RtlShape {
     pub regs: usize,
     /// Maximum random expression depth.
     pub depth: u32,
+    /// Width cap per class, `[inputs, wires, regs]`: each signal's width
+    /// is drawn uniformly from `1..=cap` (at most 128).
+    pub max_widths: [u32; 3],
 }
 
 impl Default for RtlShape {
     fn default() -> Self {
-        RtlShape { inputs: 3, wires: 10, regs: 5, depth: 2 }
+        RtlShape { inputs: 3, wires: 10, regs: 5, depth: 2, max_widths: [32, 48, 32] }
+    }
+}
+
+impl RtlShape {
+    /// The default shape with every width drawn from `1..=128`, so most
+    /// designs carry nets wider than 64 bits (the `u128` tape path).
+    pub fn wide() -> Self {
+        RtlShape { max_widths: [128; 3], ..RtlShape::default() }
     }
 }
 
@@ -167,10 +179,12 @@ impl RtlDesc {
 
         // Draw all widths first so expressions can reference any table
         // entry (in particular, wires may feed registers declared later).
+        let [max_in, max_wire, max_reg] = shape.max_widths.map(u64::from);
         let inputs: Vec<(String, u32)> =
-            (0..shape.inputs).map(|i| (format!("in{i}"), 1 + rng.below(32) as u32)).collect();
-        let wire_widths: Vec<u32> = (0..shape.wires).map(|_| 1 + rng.below(48) as u32).collect();
-        let reg_widths: Vec<u32> = (0..shape.regs).map(|_| 1 + rng.below(32) as u32).collect();
+            (0..shape.inputs).map(|i| (format!("in{i}"), 1 + rng.below(max_in) as u32)).collect();
+        let wire_widths: Vec<u32> =
+            (0..shape.wires).map(|_| 1 + rng.below(max_wire) as u32).collect();
+        let reg_widths: Vec<u32> = (0..shape.regs).map(|_| 1 + rng.below(max_reg) as u32).collect();
 
         let nin = inputs.len();
         let nwires = shape.wires + 1; // + mem_out
@@ -562,6 +576,33 @@ mod tests {
         let a = RtlDesc::generate(42, RtlShape::default());
         let b = RtlDesc::generate(42, RtlShape::default());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// The width caps must not perturb existing seeds: the default shape
+    /// still draws inputs from `1..=32`, wires from `1..=48` and
+    /// registers from `1..=32`, in the same order.
+    #[test]
+    fn default_shape_draws_todays_widths() {
+        for seed in [1, 7, 42, 1000] {
+            let desc = RtlDesc::generate(seed, RtlShape::default());
+            let mut rng = Rng(seed);
+            let want: Vec<u32> = [(3, 32), (10, 48), (5, 32)]
+                .iter()
+                .flat_map(|&(n, cap)| (0..n).map(|_| 1 + rng.below(cap) as u32).collect::<Vec<_>>())
+                .collect();
+            let mut got = desc.table_widths();
+            got.remove(3 + 10); // mem_out, not drawn
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn wide_designs_elaborate_strictly() {
+        for seed in 1..=20 {
+            let desc = RtlDesc::generate(seed, RtlShape::wide());
+            assert!(desc.table_widths().iter().any(|&w| w > 64), "seed {seed}");
+            mtl_core::elaborate(&RandomRtl::from_desc(desc)).expect("wide design must elaborate");
+        }
     }
 
     #[test]

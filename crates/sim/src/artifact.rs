@@ -34,14 +34,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::sim::Chunk;
-use crate::tape::Tape;
+use crate::tape::ExecTape;
 use mtl_core::{BlockBody, BlockKind, Design};
 
 /// The shareable output of `Specialized`/`SpecializedOpt` construction:
 /// per-block tapes plus (static mode) the fused schedule plans. Pure
 /// data — safe to execute from any number of simulator instances.
 pub(crate) struct TapeArtifact {
-    pub(crate) tapes: Arc<Vec<Tape>>,
+    pub(crate) tapes: Arc<Vec<ExecTape>>,
     pub(crate) comb_plan: Arc<Vec<Chunk>>,
     pub(crate) seq_plan: Arc<Vec<Chunk>>,
     /// Structural digest of the design these tapes were compiled from.

@@ -17,9 +17,10 @@
 //! optimizer pipeline) into [`POp`] plane programs. Tapes that still
 //! contain jumps after optimization (if-conversion has a size cap) fall
 //! back to a [`BatchProg::PerLane`] program that gathers each lane into
-//! scalar state, runs the ordinary tape executor, and scatters the results
-//! back — slower, but exactly the scalar semantics, so lane-exactness
-//! holds unconditionally.
+//! scalar state, runs the ordinary tape executor (at the tape's own
+//! register word), and scatters the results back — slower, but exactly
+//! the scalar semantics, so lane-exactness holds unconditionally. Plane
+//! lowering reads every tape in its `u128` encoding.
 //!
 //! Per-lane faults replicate the `Sim` wrapper's forced-settle protocol
 //! (peek → disturb → force → per-block levelized re-settle with re-force)
@@ -36,7 +37,7 @@ use crate::overheads::Overheads;
 use crate::passes::OptReport;
 use crate::profile::EngineStats;
 use crate::sim::{mask_of, Chunk, EngineImpl, FaultState};
-use crate::tape::{exec_tape_ptr, Op, Tape, TapeMems};
+use crate::tape::{sext_masks, ExecTape, Op, Regs, Tape, TapeMems};
 
 /// Lane capacity of the plane state: one bit per lane in a `u64` word.
 /// Storage is always this wide; [`crate::SimConfig::lanes`] only restricts
@@ -288,7 +289,7 @@ pub(crate) enum BatchProg {
     /// tape reads or may write (a skipped predicated write must scatter
     /// the *old* value back), `cur_writes`/`next_writes` are the slots to
     /// scatter after execution.
-    PerLane { tape: Tape, touched: Vec<u32>, cur_writes: Vec<u32>, next_writes: Vec<u32> },
+    PerLane { tape: ExecTape, touched: Vec<u32>, cur_writes: Vec<u32>, next_writes: Vec<u32> },
 }
 
 /// The shareable compile output of batch lowering: plane programs for the
@@ -302,8 +303,6 @@ pub(crate) struct BatchProgs {
     pub(crate) blocks: Vec<BatchProg>,
     /// Max arena planes over all programs (one shared scratch arena).
     pub(crate) arena_planes: u32,
-    /// Max tape registers over the per-lane fallback programs.
-    pub(crate) max_regs: u32,
 }
 
 /// Significant bits of a constant (`0` for zero).
@@ -347,7 +346,7 @@ fn def_width(op: &Op, vw: &[u32], widths: &[u32], mem_widths: &[u32]) -> Option<
         Op::Select { dst, base, n, .. } => {
             (dst, (0..n).map(|i| vw[base as usize + i as usize]).max().unwrap_or(0))
         }
-        Op::Sext { dst, a, ext_or, .. } => (dst, v(a).max(bits(ext_or))),
+        Op::Sext { dst, a, from, to } => (dst, v(a).max(bits(sext_masks::<u128>(from, to).1))),
         Op::MemRead { dst, mem, .. } => (dst, mem_widths[mem as usize]),
         Op::Write { .. }
         | Op::WriteMasked { .. }
@@ -364,7 +363,8 @@ fn def_width(op: &Op, vw: &[u32], widths: &[u32], mem_widths: &[u32]) -> Option<
 }
 
 /// Lowers one scalar tape to a batch program.
-fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) -> BatchProg {
+fn lower_tape(exec: &ExecTape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) -> BatchProg {
+    let tape: &Tape<u128> = &exec.wide();
     let jumpy = tape
         .ops
         .iter()
@@ -392,7 +392,7 @@ fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) 
             v.sort_unstable();
             v.dedup();
         }
-        return BatchProg::PerLane { tape: tape.clone(), touched, cur_writes, next_writes };
+        return BatchProg::PerLane { tape: exec.clone(), touched, cur_writes, next_writes };
     }
 
     let n = tape.nregs as usize;
@@ -443,29 +443,35 @@ fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) 
             Op::Not { dst: r, a, mask } => Some(POp::Not { dst: dst(r), w, a: o(a), mask }),
             Op::Neg { dst: r, a, mask } => Some(POp::Neg { dst: dst(r), w, a: o(a), mask }),
             Op::Shl { dst: r, a, b, width, mask } => {
-                Some(POp::Shl { dst: dst(r), w, a: o(a), b: o(b), width, mask })
+                Some(POp::Shl { dst: dst(r), w, a: o(a), b: o(b), width: width as u32, mask })
             }
             Op::Shr { dst: r, a, b, width } => {
-                Some(POp::Shr { dst: dst(r), w, a: o(a), b: o(b), width })
+                Some(POp::Shr { dst: dst(r), w, a: o(a), b: o(b), width: width as u32 })
             }
-            Op::Sra { dst: r, a, b, width, mask, ext } => {
-                Some(POp::SraLane { dst: dst(r), w, a: o(a), b: o(b), width, mask, ext })
-            }
+            Op::Sra { dst: r, a, b, width, mask } => Some(POp::SraLane {
+                dst: dst(r),
+                w,
+                a: o(a),
+                b: o(b),
+                width: width as u32,
+                mask,
+                ext: 128 - width as u32,
+            }),
             Op::Eq { dst: r, a, b } => Some(POp::Eq { dst: dst(r), a: o(a), b: o(b), neg: false }),
             Op::Ne { dst: r, a, b } => Some(POp::Eq { dst: dst(r), a: o(a), b: o(b), neg: true }),
             Op::Lt { dst: r, a, b } => Some(POp::Lt { dst: dst(r), a: o(a), b: o(b), ge: false }),
             Op::Ge { dst: r, a, b } => Some(POp::Lt { dst: dst(r), a: o(a), b: o(b), ge: true }),
-            Op::LtS { dst: r, a, b, ext } => {
-                Some(POp::LtS { dst: dst(r), a: o(a), b: o(b), sw: 128 - ext, ge: false })
+            Op::LtS { dst: r, a, b, width } => {
+                Some(POp::LtS { dst: dst(r), a: o(a), b: o(b), sw: width as u32, ge: false })
             }
-            Op::GeS { dst: r, a, b, ext } => {
-                Some(POp::LtS { dst: dst(r), a: o(a), b: o(b), sw: 128 - ext, ge: true })
+            Op::GeS { dst: r, a, b, width } => {
+                Some(POp::LtS { dst: dst(r), a: o(a), b: o(b), sw: width as u32, ge: true })
             }
             Op::RedAnd { dst: r, a, mask } => Some(POp::RedAnd { dst: dst(r), a: o(a), mask }),
             Op::RedOr { dst: r, a } => Some(POp::RedOr { dst: dst(r), a: o(a) }),
             Op::RedXor { dst: r, a } => Some(POp::RedXor { dst: dst(r), a: o(a) }),
             Op::Slice { dst: r, a, lo, mask } => {
-                Some(POp::Slice { dst: dst(r), w, a: o(a), lo, mask })
+                Some(POp::Slice { dst: dst(r), w, a: o(a), lo: lo as u32, mask })
             }
             Op::ShlOr { dst: r, a, b, shift } => {
                 Some(POp::ShlOr { dst: dst(r), w, a: o(a), b: o(b), shift })
@@ -486,12 +492,12 @@ fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) 
                 let opts: Box<[Opd]> = (0..n).map(|i| o(base + i)).collect();
                 Some(POp::Select { dst: dst(r), w, sel: o(sel), opts })
             }
-            Op::Sext { dst: r, a, sign_bit, ext_or } => Some(POp::Sext {
+            Op::Sext { dst: r, a, from, to } => Some(POp::Sext {
                 dst: dst(r),
                 w,
                 a: o(a),
-                sign_p: sign_bit.trailing_zeros(),
-                ext_or,
+                sign_p: from as u32 - 1,
+                ext_or: sext_masks::<u128>(from, to).1,
             }),
             Op::Write { slot, src } => Some(POp::Write {
                 net: net_off[slot as usize],
@@ -509,7 +515,7 @@ fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) 
                 net: net_off[slot as usize],
                 nw: widths[slot as usize],
                 src: o(src),
-                lo,
+                lo: lo as u32,
                 field,
                 next: false,
             }),
@@ -517,7 +523,7 @@ fn lower_tape(tape: &Tape, net_off: &[u32], widths: &[u32], mem_widths: &[u32]) 
                 net: net_off[slot as usize],
                 nw: widths[slot as usize],
                 src: o(src),
-                lo,
+                lo: lo as u32,
                 field,
                 next: true,
             }),
@@ -1006,7 +1012,7 @@ pub(crate) struct BatchEngine {
     /// Per-lane fallback scratch (slot-indexed scalar state).
     scratch_cur: Vec<u128>,
     scratch_next: Vec<u128>,
-    scratch_regs: Vec<u128>,
+    scratch_regs: Regs,
     lane_pending: Vec<(u32, u64, u128)>,
     changed_scratch: Vec<u32>,
     lanes: u32,
@@ -1053,16 +1059,14 @@ impl BatchEngine {
         let blocks: Vec<BatchProg> =
             artifact.tapes.iter().map(|t| lower_tape(t, &net_off, &widths, &mem_widths)).collect();
         let mut arena_planes = 0u32;
-        let mut max_regs = 0u32;
         for prog in comb.iter().chain(&seq).chain(&blocks) {
-            match prog {
-                BatchProg::Planes { arena, .. } => arena_planes = arena_planes.max(*arena),
-                BatchProg::PerLane { tape, .. } => max_regs = max_regs.max(tape.nregs),
+            if let BatchProg::Planes { arena, .. } = prog {
+                arena_planes = arena_planes.max(*arena);
             }
         }
         o.cgen += t0.elapsed();
 
-        let progs = Arc::new(BatchProgs { comb, seq, blocks, arena_planes, max_regs });
+        let progs = Arc::new(BatchProgs { comb, seq, blocks, arena_planes });
         Self::assemble(design, progs, artifact.optimized, artifact.report.clone(), lanes, o)
     }
 
@@ -1127,7 +1131,6 @@ impl BatchEngine {
         o.simc += t0.elapsed();
 
         let arena = vec![0u64; progs.arena_planes as usize];
-        let max_regs = progs.max_regs as usize;
         Self {
             design,
             widths,
@@ -1144,7 +1147,7 @@ impl BatchEngine {
             sel_scratch: Vec::new(),
             scratch_cur: vec![0u128; nets],
             scratch_next: vec![0u128; nets],
-            scratch_regs: vec![0u128; max_regs],
+            scratch_regs: Regs::default(),
             lane_pending: Vec::new(),
             changed_scratch: Vec::new(),
             lanes: lanes.clamp(1, LANES),
@@ -1203,8 +1206,7 @@ impl BatchEngine {
                     // validated tape can touch; `LaneMems` addressing is
                     // in range (see its `read`).
                     unsafe {
-                        exec_tape_ptr::<false, _>(
-                            tape,
+                        tape.run_ptr::<false, _>(
                             &mut self.scratch_regs,
                             cur_ptr,
                             next_ptr,

@@ -96,7 +96,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::tape::{mask_of, Op, VReg, VTape};
+use crate::tape::{mask_of, sext_masks, Op, VReg, VTape};
 
 /// A multiply-rotate word hasher in the style of rustc's `FxHasher`:
 /// several times cheaper than SipHash on the small integer keys the
@@ -188,6 +188,9 @@ pub struct OptReport {
     pub regs_before: u64,
     /// Sum of register-file sizes after compaction.
     pub regs_after: u64,
+    /// Executable tapes among `tapes` left on `u128` registers because
+    /// their width proof failed (`tape::narrow`); the rest run on `u64`.
+    pub wide_tapes: u64,
     /// Per-pass aggregates, in pipeline order.
     pub passes: Vec<PassStat>,
     /// Surviving-op histogram: (op kind, count) over every optimized
@@ -275,6 +278,7 @@ impl OptReport {
         if self.blocks > 0 {
             out.push_str(&format!("  bodies {} of {} blocks\n", self.bodies, self.blocks));
         }
+        out.push_str(&format!("  u128 tapes {} of {}\n", self.wide_tapes, self.tapes));
         if !self.mix.is_empty() {
             out.push_str("  surviving op mix:");
             for (kind, n) in &self.mix {
@@ -314,6 +318,7 @@ impl OptReport {
         self.ops_after += delta.ops_after * times;
         self.regs_before += delta.regs_before * times;
         self.regs_after += delta.regs_after * times;
+        self.wide_tapes += delta.wide_tapes * times;
         for (p, d) in self.passes.iter_mut().zip(&delta.passes) {
             p.ops_before += d.ops_before * times;
             p.ops_after += d.ops_after * times;
@@ -747,7 +752,7 @@ fn sweep(ops: &mut Vec<Op<VReg>>, dead: &[bool]) {
 }
 
 /// Evaluates a pure op whose operands are all known constants, mirroring
-/// the executor's arithmetic exactly (see `exec_tape_ptr`). Returns `None`
+/// the executor's arithmetic exactly (see `crate::tape::exec`). Returns `None`
 /// for state-touching ops or unknown operands.
 fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
     Some(match *op {
@@ -781,8 +786,9 @@ fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128>
                 get(a)? >> amt
             }
         }
-        Op::Sra { a, b, width, mask, ext, .. } => {
+        Op::Sra { a, b, width, mask, .. } => {
             let amt = (get(b)?).min(width as u128) as u32;
+            let ext = 128 - width as u32;
             let v = (get(a)? << ext) as i128 >> ext;
             ((v >> amt.min(127)) as u128) & mask
         }
@@ -790,10 +796,12 @@ fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128>
         Op::Ne { a, b, .. } => (get(a)? != get(b)?) as u128,
         Op::Lt { a, b, .. } => (get(a)? < get(b)?) as u128,
         Op::Ge { a, b, .. } => (get(a)? >= get(b)?) as u128,
-        Op::LtS { a, b, ext, .. } => {
+        Op::LtS { a, b, width, .. } => {
+            let ext = 128 - width as u32;
             (((get(a)? << ext) as i128) < ((get(b)? << ext) as i128)) as u128
         }
-        Op::GeS { a, b, ext, .. } => {
+        Op::GeS { a, b, width, .. } => {
+            let ext = 128 - width as u32;
             (((get(a)? << ext) as i128) >= ((get(b)? << ext) as i128)) as u128
         }
         Op::RedAnd { a, mask, .. } => (get(a)? == mask) as u128,
@@ -822,7 +830,8 @@ fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128>
             let idx = (get(sel)? as usize).min(n as usize - 1);
             get(base + idx as VReg)?
         }
-        Op::Sext { a, sign_bit, ext_or, .. } => {
+        Op::Sext { a, from, to, .. } => {
+            let (sign_bit, ext_or) = sext_masks::<u128>(from, to);
             let v = get(a)?;
             if v & sign_bit != 0 {
                 v | ext_or
@@ -879,6 +888,10 @@ struct Facts<'a> {
     epoch: Vec<u32>,
     cur_epoch: u32,
     dom: Vec<bool>,
+    /// What [`Facts::bits`] answers for a register whose facts a reset
+    /// retired: empty (all ones) in the optimizer, the union of every def
+    /// so far in [`value_bits`].
+    retired: Vec<u128>,
     widths: &'a [u32],
     mem_widths: &'a [u32],
 }
@@ -891,6 +904,7 @@ impl<'a> Facts<'a> {
             epoch: vec![0; nregs as usize],
             cur_epoch: 0,
             dom: vec![false; nregs as usize],
+            retired: Vec::new(),
             widths,
             mem_widths,
         }
@@ -916,7 +930,7 @@ impl<'a> Facts<'a> {
         if self.live(r) {
             self.kb[r as usize]
         } else {
-            u128::MAX
+            self.retired.get(r as usize).copied().unwrap_or(u128::MAX)
         }
     }
 
@@ -986,7 +1000,8 @@ impl<'a> Facts<'a> {
             }
             Op::Mux { t, f, .. } => kb(t) | kb(f),
             Op::Select { base, n, .. } => (0..n as VReg).fold(0, |acc, i| acc | kb(base + i)),
-            Op::Sext { a, sign_bit, ext_or, .. } => {
+            Op::Sext { a, from, to, .. } => {
+                let (sign_bit, ext_or) = sext_masks::<u128>(from, to);
                 let v = kb(a);
                 if v & sign_bit != 0 {
                     v | ext_or
@@ -997,6 +1012,47 @@ impl<'a> Facts<'a> {
             _ => u128::MAX,
         }
     }
+}
+
+/// May-be-one bits of every value any register of `vt` can hold: the
+/// [`Facts::approx_bits`] transfer over every def, united over all of
+/// them. This is the register half of the width proof in
+/// [`crate::tape::narrow`].
+///
+/// Within a straight-line segment a use reads the latest def of its
+/// register. At a leader the def that reaches a use may be any earlier
+/// one, since jumps only go forward: the register's bound widens to the
+/// union of every def of it so far rather than resetting to all ones.
+/// (Uniting over all defs everywhere would be sound too, but registers
+/// the allocator reuses — one concat chain's accumulators for the next —
+/// would accumulate every value they ever held.)
+pub(crate) fn value_bits(vt: &VTape, widths: &[u32], mem_widths: &[u32]) -> u128 {
+    let is_leader = leaders(&vt.ops);
+    let mut facts = Facts::new(vt.nregs, widths, mem_widths);
+    // A register read before any def of it holds whatever it held last
+    // (another tape's scratch, the previous cycle): unbounded.
+    facts.retired = vec![u128::MAX; vt.nregs as usize];
+    let mut defined = vec![false; vt.nregs as usize];
+    let mut all = 0;
+    for (i, op) in vt.ops.iter().enumerate() {
+        if is_leader[i] {
+            facts.reset();
+        }
+        let Some(dst) = def_of(op) else { continue };
+        let bits = match *op {
+            // Made only by the closing mux-fuse pass, which the
+            // width-narrow rounds never see.
+            Op::Mux2 { t1, t2, f, .. } => facts.bits(t1) | facts.bits(t2) | facts.bits(f),
+            _ => facts.approx_bits(op),
+        };
+        let d = dst as usize;
+        facts.kb[d] = bits;
+        facts.epoch[d] = facts.cur_epoch;
+        facts.retired[d] = if defined[d] { facts.retired[d] | bits } else { bits };
+        defined[d] = true;
+        all |= bits;
+    }
+    all
 }
 
 // ---------------------------------------------------------------------------
@@ -1170,11 +1226,13 @@ fn cse(vt: &mut VTape) -> u64 {
                 Some(Key::Bin(5, x, y, 0, 0, 0))
             }
             Op::Shl { a, b, width, mask, .. } => {
-                Some(Key::Bin(6, v(a, &ver), v(b, &ver), mask, width, 0))
+                Some(Key::Bin(6, v(a, &ver), v(b, &ver), mask, width as u32, 0))
             }
-            Op::Shr { a, b, width, .. } => Some(Key::Bin(7, v(a, &ver), v(b, &ver), 0, width, 0)),
-            Op::Sra { a, b, width, mask, ext, .. } => {
-                Some(Key::Bin(8, v(a, &ver), v(b, &ver), mask, width, ext))
+            Op::Shr { a, b, width, .. } => {
+                Some(Key::Bin(7, v(a, &ver), v(b, &ver), 0, width as u32, 0))
+            }
+            Op::Sra { a, b, width, mask, .. } => {
+                Some(Key::Bin(8, v(a, &ver), v(b, &ver), mask, width as u32, 0))
             }
             Op::Eq { a, b, .. } => {
                 let (x, y) = c2(a, b, &ver);
@@ -1186,8 +1244,12 @@ fn cse(vt: &mut VTape) -> u64 {
             }
             Op::Lt { a, b, .. } => Some(Key::Bin(11, v(a, &ver), v(b, &ver), 0, 0, 0)),
             Op::Ge { a, b, .. } => Some(Key::Bin(12, v(a, &ver), v(b, &ver), 0, 0, 0)),
-            Op::LtS { a, b, ext, .. } => Some(Key::Bin(13, v(a, &ver), v(b, &ver), 0, 0, ext)),
-            Op::GeS { a, b, ext, .. } => Some(Key::Bin(14, v(a, &ver), v(b, &ver), 0, 0, ext)),
+            Op::LtS { a, b, width, .. } => {
+                Some(Key::Bin(13, v(a, &ver), v(b, &ver), 0, width as u32, 0))
+            }
+            Op::GeS { a, b, width, .. } => {
+                Some(Key::Bin(14, v(a, &ver), v(b, &ver), 0, width as u32, 0))
+            }
             Op::ShlOr { a, b, shift, .. } => {
                 Some(Key::Bin(15, v(a, &ver), v(b, &ver), 0, shift, 0))
             }
@@ -1196,9 +1258,9 @@ fn cse(vt: &mut VTape) -> u64 {
             Op::RedAnd { a, mask, .. } => Some(Key::Un(2, v(a, &ver), mask, 0, 0)),
             Op::RedOr { a, .. } => Some(Key::Un(3, v(a, &ver), 0, 0, 0)),
             Op::RedXor { a, .. } => Some(Key::Un(4, v(a, &ver), 0, 0, 0)),
-            Op::Slice { a, lo, mask, .. } => Some(Key::Un(5, v(a, &ver), mask, 0, lo)),
-            Op::Sext { a, sign_bit, ext_or, .. } => {
-                Some(Key::Un(6, v(a, &ver), sign_bit, ext_or, 0))
+            Op::Slice { a, lo, mask, .. } => Some(Key::Un(5, v(a, &ver), mask, 0, lo as u32)),
+            Op::Sext { a, from, to, .. } => {
+                Some(Key::Un(6, v(a, &ver), from as u128, to as u128, 0))
             }
             Op::Mux { cond, t, f, .. } => Some(Key::Mux(v(cond, &ver), v(t, &ver), v(f, &ver))),
             // Created after the fixpoint loop (mux-fuse), so CSE never
@@ -1620,7 +1682,9 @@ fn width_narrow(vt: &mut VTape, widths: &[u32], mem_widths: &[u32]) -> u64 {
         let kb = |r: VReg| facts.bits(r);
         let kv = |r: VReg| facts.val(r);
         let new = match *op {
-            Op::Sext { dst, a, sign_bit, .. } if kb(a) & sign_bit == 0 => Some(Op::Copy { dst, a }),
+            Op::Sext { dst, a, from, to } if kb(a) & sext_masks::<u128>(from, to).0 == 0 => {
+                Some(Op::Copy { dst, a })
+            }
             Op::Slice { dst, a, lo: 0, mask } if kb(a) & !mask == 0 => Some(Op::Copy { dst, a }),
             Op::Slice { dst, a, lo, mask } if lo > 0 && lo < 128 && (kb(a) >> lo) & mask == 0 => {
                 Some(Op::Const { dst, val: 0 })
@@ -1954,7 +2018,7 @@ fn mux_fuse(vt: &mut VTape) -> u64 {
 /// records the prefix length in [`VTape::prelude`]. The hoisted consts
 /// are cycle-invariant, so an engine with a persistent per-tape register
 /// buffer installs them once and executes only the body per cycle
-/// (`exec_prelude` / `exec_tape_body`), while engines that share one
+/// (`ExecTape::bank` / `ExecTape::run_body`), while engines that share one
 /// scratch buffer across tapes keep executing from op 0 unchanged.
 ///
 /// Runs once after the fixpoint loop: DCE has already removed unused
@@ -2140,7 +2204,7 @@ fn realloc(vt: &mut VTape) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::{exec_tape, Tape};
+    use crate::tape::{narrow, validate, ExecTape, Regs};
 
     fn opt(mut vt: VTape, widths: &[u32]) -> (VTape, OptReport) {
         let mut rep = OptReport::new();
@@ -2148,21 +2212,35 @@ mod tests {
         (vt, rep)
     }
 
-    /// Runs a tape (narrowed) over fresh state and returns `cur`.
+    /// Narrows a tape whose slots are all `width` bits wide.
+    fn exec_tape(vt: &VTape, nslots: usize, width: u32) -> ExecTape {
+        let t = narrow(vt, &vec![width; nslots], &[], || "test tape".into());
+        validate(&t, nslots, 0);
+        t
+    }
+
+    /// Runs a tape over fresh state and returns `cur`: once narrowed
+    /// against 128-bit slots and once against 64-bit slots (on `u64`
+    /// registers wherever the width proof holds), which must agree.
     fn run(vt: &VTape, nslots: usize, init: &[(usize, u128)]) -> Vec<u128> {
-        let t = crate::tape::narrow(vt, || "test tape".into());
-        crate::tape::validate(&t, nslots, 0);
-        let mut regs = vec![0u128; t.nregs as usize];
-        let mut cur = vec![0u128; nslots];
-        for &(s, v) in init {
-            cur[s] = v;
-        }
-        let mut next = vec![0u128; nslots];
-        let mems: Vec<Vec<u128>> = Vec::new();
-        let mut pending = Vec::new();
-        let mut changed = Vec::new();
-        exec_tape::<false>(&t, &mut regs, &mut cur, &mut next, &mems, &mut pending, &mut changed);
-        cur
+        let runs: Vec<Vec<u128>> = [128, 64]
+            .into_iter()
+            .map(|width| {
+                let t = exec_tape(vt, nslots, width);
+                let mut cur = vec![0u128; nslots];
+                for &(s, v) in init {
+                    cur[s] = v;
+                }
+                let mut next = vec![0u128; nslots];
+                let mems: Vec<Vec<u128>> = Vec::new();
+                let (mut pending, mut changed) = (Vec::new(), Vec::new());
+                let mut regs = Regs::default();
+                t.run::<false>(&mut regs, &mut cur, &mut next, &mems, &mut pending, &mut changed);
+                cur
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "u128 and u64 executions differ");
+        runs[0].clone()
     }
 
     fn vt(ops: Vec<Op<VReg>>, nregs: u32) -> VTape {
@@ -2252,7 +2330,7 @@ mod tests {
         let ops = vec![
             Op::Read { dst: 0, slot: 0 },
             Op::Slice { dst: 1, a: 0, lo: 0, mask: mask_of(8) },
-            Op::Sext { dst: 2, a: 1, sign_bit: 1 << 7, ext_or: mask_of(16) & !mask_of(8) },
+            Op::Sext { dst: 2, a: 1, from: 8, to: 16 },
             Op::Write { slot: 1, src: 2 },
         ];
         let before = run(&vt(ops.clone(), 3), 2, &[(0, 0xF)]);
@@ -2361,25 +2439,16 @@ mod tests {
             "jumps survived if-conversion: {:?}",
             o.ops
         );
-        let t = crate::tape::narrow(&o, || "test tape".into());
-        crate::tape::validate(&t, 3, 0);
+        let t = exec_tape(&o, 3, 8);
         for taken in [false, true] {
-            let mut regs = vec![0u128; t.nregs as usize];
+            let mut regs = Regs::default();
             let mut cur = vec![u128::from(taken), 0, 0];
             // Pre-set next[2] to a value cur cannot explain: the untaken
             // path must keep it.
             let mut next = vec![0u128, 0, 7];
             let mems: Vec<Vec<u128>> = Vec::new();
             let (mut pending, mut changed) = (Vec::new(), Vec::new());
-            exec_tape::<false>(
-                &t,
-                &mut regs,
-                &mut cur,
-                &mut next,
-                &mems,
-                &mut pending,
-                &mut changed,
-            );
+            t.run::<false>(&mut regs, &mut cur, &mut next, &mems, &mut pending, &mut changed);
             if taken {
                 assert_eq!((cur[1], next[2]), (5, 9));
             } else {
@@ -2459,8 +2528,8 @@ mod tests {
     }
 
     /// Constants hoist into a prelude whose registers survive body
-    /// execution, so `exec_prelude` + N x `exec_tape_body` over one
-    /// persistent buffer matches N full executions.
+    /// execution, so `ExecTape::bank` + N x `ExecTape::run_body` over one
+    /// persistent bank matches N full executions.
     #[test]
     fn const_hoist_prelude_is_cycle_invariant() {
         let m = mask_of(8);
@@ -2473,24 +2542,15 @@ mod tests {
         let (o, rep) = opt(vt(ops, 3), &[8, 8]);
         assert!(rep.passes[P_HOIST].rewrites > 0, "hoist did not fire: {:?}", o.ops);
         assert!(o.prelude > 0, "no prelude recorded");
-        let t = crate::tape::narrow(&o, || "test tape".into());
-        crate::tape::validate(&t, 2, 0);
-        let mut regs = vec![0u128; t.nregs as usize];
-        crate::tape::exec_prelude(&t, &mut regs);
+        let t = exec_tape(&o, 2, 8);
+        assert!(!t.is_wide(), "8-bit tape left on u128");
+        let mut regs = t.bank();
         let mems: Vec<Vec<u128>> = Vec::new();
         let (mut pending, mut changed) = (Vec::new(), Vec::new());
         let mut next = vec![0u128; 2];
         for x in [0u128, 5, 200] {
             let mut cur = vec![x, 0];
-            crate::tape::exec_tape_body::<false>(
-                &t,
-                &mut regs,
-                &mut cur,
-                &mut next,
-                &mems,
-                &mut pending,
-                &mut changed,
-            );
+            t.run_body(&mut regs, &mut cur, &mut next, &mems, &mut pending, &mut changed);
             assert_eq!(cur[1], (x + 7) & m, "body run with x={x}");
         }
     }

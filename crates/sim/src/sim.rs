@@ -15,7 +15,7 @@ use crate::interp::{exec_stmts, DenseSens, DenseStore, HashSens, HashStore, Sens
 use crate::overheads::Overheads;
 use crate::passes::{optimize, OptReport};
 use crate::profile::{EngineStats, SimProfile};
-use crate::tape::{compile_blocks, exec_tape, exec_tape_body, fuse, narrow, validate, widen, Tape};
+use crate::tape::{compile_blocks, fuse, narrow, validate, ExecTape, Regs};
 
 /// Simulation engine selection; see `DESIGN.md` for the mapping onto the
 /// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes.
@@ -27,8 +27,9 @@ pub enum Engine {
     /// Same event-driven tree-walking architecture with dense pre-resolved
     /// storage and sensitivity (the PyPy analog).
     InterpretedOpt,
-    /// IR blocks compiled to linear tapes over packed `u128` slots, still
-    /// dispatched through the event queue (the SimJIT analog).
+    /// IR blocks compiled to linear tapes over packed `u128` slots and
+    /// `u64` registers wherever a width proof allows, still dispatched
+    /// through the event queue (the SimJIT analog).
     Specialized,
     /// Tapes plus a fully static levelized schedule — no event queue at all
     /// (the SimJIT+PyPy analog).
@@ -1578,7 +1579,7 @@ impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
 /// One step of a fused static schedule: either a fused run of tape
 /// blocks or a native block call.
 pub(crate) enum Chunk {
-    Fused(Tape),
+    Fused(ExecTape),
     Native(u32),
 }
 
@@ -1592,7 +1593,7 @@ pub(crate) struct TapeEngine {
     pending: Vec<(u32, u64, u128)>,
     /// Compiled per-block tapes — `Arc` so a persistent server can share
     /// one compile across many engine instances ([`crate::ArtifactCache`]).
-    tapes: Arc<Vec<Tape>>,
+    tapes: Arc<Vec<ExecTape>>,
     natives: Vec<Option<NativeFn>>,
     seq_order: Vec<u32>,
     /// Levelized combinational order (also the unfused schedule profiling
@@ -1601,14 +1602,16 @@ pub(crate) struct TapeEngine {
     /// Fused static schedules (opt mode only); shared like `tapes`.
     comb_plan: Arc<Vec<Chunk>>,
     seq_plan: Arc<Vec<Chunk>>,
-    /// Persistent register buffers, one per fused plan chunk (empty for
-    /// native chunks). Each holds its tape's const prelude, installed
-    /// once at build, so `run_plan` executes only the tape body per
-    /// cycle. Engine-local (the shared `Arc` plans carry no state).
-    comb_bank: Vec<Vec<u128>>,
-    seq_bank: Vec<Vec<u128>>,
+    /// Persistent register banks, one per fused plan chunk (empty for
+    /// native chunks), in the word of the chunk's tape. Each holds its
+    /// tape's const prelude, installed once at build, so `run_plan`
+    /// executes only the tape body per cycle. Engine-local (the shared
+    /// `Arc` plans carry no state).
+    comb_bank: Vec<Regs>,
+    seq_bank: Vec<Regs>,
     reg_slots: Vec<u32>,
-    regs: Vec<u128>,
+    /// Scratch registers for per-block tape runs.
+    regs: Regs,
     event_mode: bool,
     sens: Vec<Vec<u32>>,
     mem_sens: Vec<Vec<u32>>,
@@ -1686,7 +1689,8 @@ impl TapeEngine {
         // first compiled (the cache keys on the optimizer setting, so a
         // reused artifact matches `opt`). Only the per-instance state
         // below (packed nets, sensitivity, queue) is rebuilt.
-        type ReusedPlans = (Arc<Vec<Tape>>, Arc<Vec<Chunk>>, Arc<Vec<Chunk>>, Option<OptReport>);
+        type ReusedPlans =
+            (Arc<Vec<ExecTape>>, Arc<Vec<Chunk>>, Arc<Vec<Chunk>>, Option<OptReport>);
         let reused: Option<ReusedPlans> = reuse
             .map(|a| (a.tapes.clone(), a.comb_plan.clone(), a.seq_plan.clone(), a.report.clone()));
 
@@ -1696,7 +1700,7 @@ impl TapeEngine {
         let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
         let mut report = if opt { Some(OptReport::new()) } else { None };
 
-        let tapes: Arc<Vec<Tape>> = match &reused {
+        let tapes: Arc<Vec<ExecTape>> = match &reused {
             Some((tapes, ..)) => tapes.clone(),
             None => {
                 // Phases: comp (constant folding, optimizer) and cgen
@@ -1706,7 +1710,6 @@ impl TapeEngine {
                 Arc::new(compile_blocks(&design, &widths, &mem_widths, report.as_mut(), o))
             }
         };
-        let max_regs = tapes.iter().map(|t| t.nregs as usize).max().unwrap_or(0);
 
         // Phase: wrap (packed state).
         let t0 = Instant::now();
@@ -1755,26 +1758,31 @@ impl TapeEngine {
             in_queue[b as usize] = true;
         }
         // Fuse consecutive tape blocks into mega-tapes for the fully
-        // static schedule (cgen-adjacent work, charged to simc since it
-        // is schedule construction). Re-optimizing the fused tape picks
-        // up cross-block wins (CSE/forwarding across block boundaries)
-        // the per-block pipeline cannot see; that optimization is
-        // charged to comp.
+        // static schedule (charged to simc since it is schedule
+        // construction). Re-optimizing the fused tape picks up
+        // cross-block wins (CSE/forwarding across block boundaries) the
+        // per-block pipeline cannot see; that optimization is charged to
+        // comp, and lowering the result to its register word to cgen.
         let mut opt_time = Duration::ZERO;
-        let mut fuse_opt = |run: &[&Tape], label: &str| -> Tape {
-            let mut fused = fuse(run);
+        let mut narrow_time = Duration::ZERO;
+        let mut fuse_opt = |run: &[&ExecTape], label: &str| -> ExecTape {
+            let mut vt = fuse(run);
             if let Some(rep) = report.as_mut() {
-                let mut vt = widen(&fused);
                 let t = Instant::now();
                 optimize(&mut vt, &widths, &mem_widths, rep);
                 opt_time += t.elapsed();
-                fused = narrow(&vt, || format!("fused {label} schedule"));
+            }
+            let t = Instant::now();
+            let fused = narrow(&vt, &widths, &mem_widths, || format!("fused {label} schedule"));
+            narrow_time += t.elapsed();
+            if let Some(rep) = report.as_mut() {
+                rep.wide_tapes += fused.is_wide() as u64;
             }
             fused
         };
         let mut build_plan = |order: &[u32], label: &str| -> Vec<Chunk> {
             let mut plan = Vec::new();
-            let mut run: Vec<&Tape> = Vec::new();
+            let mut run: Vec<&ExecTape> = Vec::new();
             for &b in order {
                 if matches!(design.blocks()[b as usize].body, BlockBody::Ir(_)) {
                     run.push(&tapes[b as usize]);
@@ -1804,22 +1812,19 @@ impl TapeEngine {
                 (Arc::new(plans.0), Arc::new(plans.1))
             }
         };
-        let mk_bank = |plan: &[Chunk]| -> Vec<Vec<u128>> {
+        let mk_bank = |plan: &[Chunk]| -> Vec<Regs> {
             plan.iter()
                 .map(|c| match c {
-                    Chunk::Fused(t) => {
-                        let mut regs = vec![0u128; t.nregs as usize];
-                        crate::tape::exec_prelude(t, &mut regs);
-                        regs
-                    }
-                    Chunk::Native(_) => Vec::new(),
+                    Chunk::Fused(t) => t.bank(),
+                    Chunk::Native(_) => Regs::default(),
                 })
                 .collect()
         };
         let comb_bank = mk_bank(&comb_plan);
         let seq_bank = mk_bank(&seq_plan);
         o.comp += opt_time;
-        o.simc += t0.elapsed() - opt_time;
+        o.cgen += narrow_time;
+        o.simc += t0.elapsed() - opt_time - narrow_time;
 
         // A cache hit replays the compile-time pass report so the stats
         // remain observable on reused builds.
@@ -1845,7 +1850,7 @@ impl TapeEngine {
             comb_bank,
             seq_bank,
             reg_slots,
-            regs: vec![0u128; max_regs],
+            regs: Regs::default(),
             event_mode,
             sens,
             mem_sens,
@@ -1880,8 +1885,7 @@ impl TapeEngine {
         let design = self.design.clone();
         match &design.blocks()[b as usize].body {
             BlockBody::Ir(_) => {
-                exec_tape::<TRACK>(
-                    &self.tapes[b as usize],
+                self.tapes[b as usize].run::<TRACK>(
                     &mut self.regs,
                     &mut self.cur,
                     &mut self.next,
@@ -1992,8 +1996,7 @@ impl TapeEngine {
                     // Each fused chunk owns a persistent buffer holding
                     // its const prelude, so only the body executes here.
                     let bank = if comb { &mut self.comb_bank } else { &mut self.seq_bank };
-                    exec_tape_body::<false>(
-                        tape,
+                    tape.run_body(
                         &mut bank[k],
                         &mut self.cur,
                         &mut self.next,

@@ -1,22 +1,31 @@
 //! The tape compiler: lowers IR blocks to a linear bytecode executed by a
-//! straight-line VM over packed `u128` slots.
+//! straight-line VM over `u128` net slots and `u64` or `u128` registers.
 //!
 //! This is the heart of the SimJIT substitution (see `DESIGN.md`): where
 //! PyMTL's SimJIT generates and compiles C++, RustMTL's specializing
 //! engines lower each IR block to a flat three-address tape with
 //! pre-resolved net slots, precomputed masks, and constant-folded operands.
+//!
+//! Compilation and optimization work in `u128` ([`VTape`]). [`narrow`]
+//! then picks each executable tape's register word ([`ExecTape`]): `u64`,
+//! whose ops pack into 16 bytes, when a conservative proof shows every
+//! value the tape can hold fits in 64 bits, and `u128` otherwise.
 
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::Debug;
+use std::hash::Hash;
+use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
 use std::time::{Duration, Instant};
 
 use mtl_core::ir::{BinOp, Expr, Stmt, UnaryOp};
 use mtl_core::{BlockBody, BlockId, BlockKind, Design, MemId, SignalId};
 
 use crate::overheads::Overheads;
-use crate::passes::{optimize, FxBuild, OptReport};
+use crate::passes::{optimize, value_bits, FxBuild, OptReport};
 
 /// A physical register index within an executable tape. Kept at 16 bits so
-/// every hot [`Op`] variant packs into 32 bytes.
+/// every [`Op`] variant packs into 16 bytes over `u64` words.
 pub(crate) type Reg = u16;
 
 /// A virtual register index used during compilation and optimization.
@@ -25,15 +34,118 @@ pub(crate) type Reg = u16;
 /// result against the physical [`Reg`] budget.
 pub(crate) type VReg = u32;
 
-/// One tape instruction, generic over the register index type: `Op<Reg>`
-/// (the default) is what the executor runs, `Op<VReg>` is what the
-/// compiler emits and the optimizer transforms. `mask` fields are
-/// precomputed width masks.
+/// A tape value word: the type of registers and value immediates. Net and
+/// memory slots are always `u128`; a `u64` tape truncates what it reads,
+/// which the width proof in [`narrow`] makes exact.
+pub(crate) trait Word:
+    Copy
+    + Default
+    + Eq
+    + Ord
+    + Hash
+    + Debug
+    + From<u8>
+    + From<bool>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    const BITS: u32;
+    const ZERO: Self;
+    const ONE: Self;
+    /// A memory's word count as stored in an op. A memory too large for
+    /// it keeps its tape at the wider word.
+    type Words: Copy + Eq + Hash + Debug + Into<u64> + TryFrom<u64>;
+    /// `v`, if it fits.
+    fn from_u128(v: u128) -> Option<Self>;
+    /// The low `BITS` bits of `v`.
+    fn truncate(v: u128) -> Self;
+    fn to_u128(self) -> u128;
+    /// The low 64 bits (memory addresses and `Select` indices).
+    fn low_u64(self) -> u64;
+    fn wrapping_add(self, b: Self) -> Self;
+    fn wrapping_sub(self, b: Self) -> Self;
+    fn wrapping_mul(self, b: Self) -> Self;
+    fn wrapping_neg(self) -> Self;
+    fn count_ones(self) -> u32;
+    /// Sign-extends the low `BITS - ext` bits, then shifts right
+    /// arithmetically by `amt` (`ext`, `amt` < `BITS`).
+    fn sra(self, ext: u32, amt: u32) -> Self;
+    /// Signed `<` of the low `BITS - ext` bits of both operands.
+    fn lt_signed(self, b: Self, ext: u32) -> bool;
+}
+
+macro_rules! impl_word {
+    ($u:ty, $i:ty, $words:ty) => {
+        impl Word for $u {
+            const BITS: u32 = <$u>::BITS;
+            const ZERO: Self = 0;
+            const ONE: Self = 1;
+            type Words = $words;
+            fn from_u128(v: u128) -> Option<Self> {
+                <$u>::try_from(v).ok()
+            }
+            #[inline(always)]
+            fn truncate(v: u128) -> Self {
+                v as $u
+            }
+            #[inline(always)]
+            fn to_u128(self) -> u128 {
+                self as u128
+            }
+            #[inline(always)]
+            fn low_u64(self) -> u64 {
+                self as u64
+            }
+            #[inline(always)]
+            fn wrapping_add(self, b: Self) -> Self {
+                <$u>::wrapping_add(self, b)
+            }
+            #[inline(always)]
+            fn wrapping_sub(self, b: Self) -> Self {
+                <$u>::wrapping_sub(self, b)
+            }
+            #[inline(always)]
+            fn wrapping_mul(self, b: Self) -> Self {
+                <$u>::wrapping_mul(self, b)
+            }
+            #[inline(always)]
+            fn wrapping_neg(self) -> Self {
+                <$u>::wrapping_neg(self)
+            }
+            #[inline(always)]
+            fn count_ones(self) -> u32 {
+                <$u>::count_ones(self)
+            }
+            #[inline(always)]
+            fn sra(self, ext: u32, amt: u32) -> Self {
+                ((((self << ext) as $i) >> ext) >> amt) as $u
+            }
+            #[inline(always)]
+            fn lt_signed(self, b: Self, ext: u32) -> bool {
+                ((self << ext) as $i) < ((b << ext) as $i)
+            }
+        }
+    };
+}
+impl_word!(u64, i64, u32);
+impl_word!(u128, i128, u64);
+
+/// One tape instruction, generic over the register index type and the
+/// value word: `Op<Reg, u64>` and `Op<Reg, u128>` are what the executor
+/// runs ([`ExecTape`]), `Op<VReg>` (over `u128`) is what the compiler
+/// emits and the optimizer transforms. `mask`/`field` are precomputed
+/// width masks; immediates a width determines (sign-extension shifts,
+/// `Sext` masks) are stored as that `u8` width and derived at execution,
+/// which keeps `Op<Reg, u64>` at 16 bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Op<R = Reg> {
+pub(crate) enum Op<R = Reg, W: Word = u128> {
     Const {
         dst: R,
-        val: u128,
+        val: W,
     },
     Read {
         dst: R,
@@ -47,19 +159,19 @@ pub(crate) enum Op<R = Reg> {
         dst: R,
         a: R,
         b: R,
-        mask: u128,
+        mask: W,
     },
     Sub {
         dst: R,
         a: R,
         b: R,
-        mask: u128,
+        mask: W,
     },
     Mul {
         dst: R,
         a: R,
         b: R,
-        mask: u128,
+        mask: W,
     },
     And {
         dst: R,
@@ -79,33 +191,33 @@ pub(crate) enum Op<R = Reg> {
     Not {
         dst: R,
         a: R,
-        mask: u128,
+        mask: W,
     },
     Neg {
         dst: R,
         a: R,
-        mask: u128,
+        mask: W,
     },
     Shl {
         dst: R,
         a: R,
         b: R,
-        width: u32,
-        mask: u128,
+        width: u8,
+        mask: W,
     },
     Shr {
         dst: R,
         a: R,
         b: R,
-        width: u32,
+        width: u8,
     },
+    /// Arithmetic shift of a `width`-bit value.
     Sra {
         dst: R,
         a: R,
         b: R,
-        width: u32,
-        mask: u128,
-        ext: u32,
+        width: u8,
+        mask: W,
     },
     Eq {
         dst: R,
@@ -127,22 +239,23 @@ pub(crate) enum Op<R = Reg> {
         a: R,
         b: R,
     },
+    /// Signed `<` of two `width`-bit values.
     LtS {
         dst: R,
         a: R,
         b: R,
-        ext: u32,
+        width: u8,
     },
     GeS {
         dst: R,
         a: R,
         b: R,
-        ext: u32,
+        width: u8,
     },
     RedAnd {
         dst: R,
         a: R,
-        mask: u128,
+        mask: W,
     },
     RedOr {
         dst: R,
@@ -155,8 +268,8 @@ pub(crate) enum Op<R = Reg> {
     Slice {
         dst: R,
         a: R,
-        lo: u32,
-        mask: u128,
+        lo: u8,
+        mask: W,
     },
     /// `dst = (a << shift) | b` — concatenation folding.
     ShlOr {
@@ -190,11 +303,12 @@ pub(crate) enum Op<R = Reg> {
         base: R,
         n: u16,
     },
+    /// Sign-extends a `from`-bit value to `to` bits ([`sext_masks`]).
     Sext {
         dst: R,
         a: R,
-        sign_bit: u128,
-        ext_or: u128,
+        from: u8,
+        to: u8,
     },
     Write {
         slot: u32,
@@ -203,8 +317,8 @@ pub(crate) enum Op<R = Reg> {
     WriteMasked {
         slot: u32,
         src: R,
-        lo: u32,
-        field: u128,
+        lo: u8,
+        field: W,
     },
     WriteNext {
         slot: u32,
@@ -213,8 +327,8 @@ pub(crate) enum Op<R = Reg> {
     WriteNextMasked {
         slot: u32,
         src: R,
-        lo: u32,
-        field: u128,
+        lo: u8,
+        field: W,
     },
     /// Predicated full write: stores `src` to `cur[slot]` when
     /// `(cond != 0) != neg`, otherwise leaves the slot untouched. Never
@@ -243,13 +357,13 @@ pub(crate) enum Op<R = Reg> {
         dst: R,
         mem: u32,
         addr: R,
-        words: u64,
+        words: W::Words,
     },
     MemWrite {
         mem: u32,
         addr: R,
         data: R,
-        words: u64,
+        words: W::Words,
     },
     /// Predicated [`Op::MemWrite`]: pushes the deferred write only when
     /// `(cond != 0) != neg`. Optimizer-only, like the other predicated
@@ -260,7 +374,7 @@ pub(crate) enum Op<R = Reg> {
         addr: R,
         data: R,
         cond: R,
-        words: u64,
+        words: W::Words,
         neg: bool,
     },
     Jz {
@@ -269,7 +383,7 @@ pub(crate) enum Op<R = Reg> {
     },
     JneConst {
         a: R,
-        k: u128,
+        k: W,
         target: u32,
     },
     Jmp {
@@ -277,39 +391,57 @@ pub(crate) enum Op<R = Reg> {
     },
 }
 
-impl<R: Copy> Op<R> {
-    /// Rebuilds the op with every register index passed through `f`
-    /// (widening, narrowing, and compaction renumbering all route here).
-    pub(crate) fn map_regs<S: Copy>(&self, f: &mut impl FnMut(R) -> S) -> Op<S> {
-        match *self {
-            Op::Const { dst, val } => Op::Const { dst: f(dst), val },
+// The `u64` encoding is what makes the narrow path pay: half the bytes
+// per dispatched op of the `u128` one.
+const _: () = assert!(std::mem::size_of::<Op<Reg, u64>>() == 16);
+
+impl<R: Copy, W: Word> Op<R, W> {
+    /// Rebuilds the op with every register index passed through `f` and
+    /// every value immediate through `g`. `None` if `g` refuses an
+    /// immediate or a memory size does not fit `V`'s encoding.
+    pub(crate) fn map<S: Copy, V: Word>(
+        &self,
+        f: &mut impl FnMut(R) -> S,
+        g: &mut impl FnMut(W) -> Option<V>,
+    ) -> Option<Op<S, V>> {
+        let words = |w: W::Words| V::Words::try_from(w.into()).ok();
+        Some(match *self {
+            Op::Const { dst, val } => Op::Const { dst: f(dst), val: g(val)? },
             Op::Read { dst, slot } => Op::Read { dst: f(dst), slot },
             Op::Copy { dst, a } => Op::Copy { dst: f(dst), a: f(a) },
-            Op::Add { dst, a, b, mask } => Op::Add { dst: f(dst), a: f(a), b: f(b), mask },
-            Op::Sub { dst, a, b, mask } => Op::Sub { dst: f(dst), a: f(a), b: f(b), mask },
-            Op::Mul { dst, a, b, mask } => Op::Mul { dst: f(dst), a: f(a), b: f(b), mask },
+            Op::Add { dst, a, b, mask } => {
+                Op::Add { dst: f(dst), a: f(a), b: f(b), mask: g(mask)? }
+            }
+            Op::Sub { dst, a, b, mask } => {
+                Op::Sub { dst: f(dst), a: f(a), b: f(b), mask: g(mask)? }
+            }
+            Op::Mul { dst, a, b, mask } => {
+                Op::Mul { dst: f(dst), a: f(a), b: f(b), mask: g(mask)? }
+            }
             Op::And { dst, a, b } => Op::And { dst: f(dst), a: f(a), b: f(b) },
             Op::Or { dst, a, b } => Op::Or { dst: f(dst), a: f(a), b: f(b) },
             Op::Xor { dst, a, b } => Op::Xor { dst: f(dst), a: f(a), b: f(b) },
-            Op::Not { dst, a, mask } => Op::Not { dst: f(dst), a: f(a), mask },
-            Op::Neg { dst, a, mask } => Op::Neg { dst: f(dst), a: f(a), mask },
+            Op::Not { dst, a, mask } => Op::Not { dst: f(dst), a: f(a), mask: g(mask)? },
+            Op::Neg { dst, a, mask } => Op::Neg { dst: f(dst), a: f(a), mask: g(mask)? },
             Op::Shl { dst, a, b, width, mask } => {
-                Op::Shl { dst: f(dst), a: f(a), b: f(b), width, mask }
+                Op::Shl { dst: f(dst), a: f(a), b: f(b), width, mask: g(mask)? }
             }
             Op::Shr { dst, a, b, width } => Op::Shr { dst: f(dst), a: f(a), b: f(b), width },
-            Op::Sra { dst, a, b, width, mask, ext } => {
-                Op::Sra { dst: f(dst), a: f(a), b: f(b), width, mask, ext }
+            Op::Sra { dst, a, b, width, mask } => {
+                Op::Sra { dst: f(dst), a: f(a), b: f(b), width, mask: g(mask)? }
             }
             Op::Eq { dst, a, b } => Op::Eq { dst: f(dst), a: f(a), b: f(b) },
             Op::Ne { dst, a, b } => Op::Ne { dst: f(dst), a: f(a), b: f(b) },
             Op::Lt { dst, a, b } => Op::Lt { dst: f(dst), a: f(a), b: f(b) },
             Op::Ge { dst, a, b } => Op::Ge { dst: f(dst), a: f(a), b: f(b) },
-            Op::LtS { dst, a, b, ext } => Op::LtS { dst: f(dst), a: f(a), b: f(b), ext },
-            Op::GeS { dst, a, b, ext } => Op::GeS { dst: f(dst), a: f(a), b: f(b), ext },
-            Op::RedAnd { dst, a, mask } => Op::RedAnd { dst: f(dst), a: f(a), mask },
+            Op::LtS { dst, a, b, width } => Op::LtS { dst: f(dst), a: f(a), b: f(b), width },
+            Op::GeS { dst, a, b, width } => Op::GeS { dst: f(dst), a: f(a), b: f(b), width },
+            Op::RedAnd { dst, a, mask } => Op::RedAnd { dst: f(dst), a: f(a), mask: g(mask)? },
             Op::RedOr { dst, a } => Op::RedOr { dst: f(dst), a: f(a) },
             Op::RedXor { dst, a } => Op::RedXor { dst: f(dst), a: f(a) },
-            Op::Slice { dst, a, lo, mask } => Op::Slice { dst: f(dst), a: f(a), lo, mask },
+            Op::Slice { dst, a, lo, mask } => {
+                Op::Slice { dst: f(dst), a: f(a), lo, mask: g(mask)? }
+            }
             Op::ShlOr { dst, a, b, shift } => Op::ShlOr { dst: f(dst), a: f(a), b: f(b), shift },
             Op::Mux { dst, cond, t, f: fr } => {
                 Op::Mux { dst: f(dst), cond: f(cond), t: f(t), f: f(fr) }
@@ -320,16 +452,14 @@ impl<R: Copy> Op<R> {
             Op::Select { dst, sel, base, n } => {
                 Op::Select { dst: f(dst), sel: f(sel), base: f(base), n }
             }
-            Op::Sext { dst, a, sign_bit, ext_or } => {
-                Op::Sext { dst: f(dst), a: f(a), sign_bit, ext_or }
-            }
+            Op::Sext { dst, a, from, to } => Op::Sext { dst: f(dst), a: f(a), from, to },
             Op::Write { slot, src } => Op::Write { slot, src: f(src) },
             Op::WriteMasked { slot, src, lo, field } => {
-                Op::WriteMasked { slot, src: f(src), lo, field }
+                Op::WriteMasked { slot, src: f(src), lo, field: g(field)? }
             }
             Op::WriteNext { slot, src } => Op::WriteNext { slot, src: f(src) },
             Op::WriteNextMasked { slot, src, lo, field } => {
-                Op::WriteNextMasked { slot, src: f(src), lo, field }
+                Op::WriteNextMasked { slot, src: f(src), lo, field: g(field)? }
             }
             Op::WriteIf { slot, cond, src, neg } => {
                 Op::WriteIf { slot, cond: f(cond), src: f(src), neg }
@@ -337,18 +467,48 @@ impl<R: Copy> Op<R> {
             Op::WriteNextIf { slot, cond, src, neg } => {
                 Op::WriteNextIf { slot, cond: f(cond), src: f(src), neg }
             }
-            Op::MemRead { dst, mem, addr, words } => {
-                Op::MemRead { dst: f(dst), mem, addr: f(addr), words }
+            Op::MemRead { dst, mem, addr, words: w } => {
+                Op::MemRead { dst: f(dst), mem, addr: f(addr), words: words(w)? }
             }
-            Op::MemWrite { mem, addr, data, words } => {
-                Op::MemWrite { mem, addr: f(addr), data: f(data), words }
+            Op::MemWrite { mem, addr, data, words: w } => {
+                Op::MemWrite { mem, addr: f(addr), data: f(data), words: words(w)? }
             }
-            Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
-                Op::MemWriteIf { mem, addr: f(addr), data: f(data), cond: f(cond), words, neg }
-            }
+            Op::MemWriteIf { mem, addr, data, cond, words: w, neg } => Op::MemWriteIf {
+                mem,
+                addr: f(addr),
+                data: f(data),
+                cond: f(cond),
+                words: words(w)?,
+                neg,
+            },
             Op::Jz { cond, target } => Op::Jz { cond: f(cond), target },
-            Op::JneConst { a, k, target } => Op::JneConst { a: f(a), k, target },
+            Op::JneConst { a, k, target } => Op::JneConst { a: f(a), k: g(k)?, target },
             Op::Jmp { target } => Op::Jmp { target },
+        })
+    }
+
+    /// Rebuilds the op with every register index passed through `f`
+    /// (widening, narrowing, and compaction renumbering all route here).
+    pub(crate) fn map_regs<S: Copy>(&self, f: &mut impl FnMut(R) -> S) -> Op<S, W> {
+        self.map(f, &mut Some).expect("re-encoding in the same word cannot fail")
+    }
+
+    /// Whether every shift amount and width the executor derives from
+    /// this op's immediates is in range for `W` (so no shift overflows).
+    fn fits_word(&self) -> bool {
+        let bits = |w: u8| (w as u32) <= W::BITS;
+        let shift = |s: u32| s < W::BITS;
+        match *self {
+            Op::Shl { width, .. } | Op::Shr { width, .. } => bits(width),
+            Op::Sra { width, .. } | Op::LtS { width, .. } | Op::GeS { width, .. } => {
+                width >= 1 && bits(width)
+            }
+            Op::Slice { lo, .. } | Op::WriteMasked { lo, .. } | Op::WriteNextMasked { lo, .. } => {
+                shift(lo as u32)
+            }
+            Op::ShlOr { shift: s, .. } => shift(s),
+            Op::Sext { from, to, .. } => from >= 1 && bits(from) && bits(to),
+            _ => true,
         }
     }
 
@@ -377,21 +537,219 @@ impl<R: Copy> Op<R> {
     }
 }
 
-/// A compiled update block in executable (physical-register) form.
+/// A compiled update block in executable (physical-register) form over
+/// word `W`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Tape {
-    pub ops: Vec<Op>,
+pub(crate) struct Tape<W: Word> {
+    pub ops: Vec<Op<Reg, W>>,
     /// Register file size. `u32` (not [`Reg`]) so the full 65536-register
     /// budget is expressible.
     pub nregs: u32,
     /// Length of the cycle-invariant prefix: `ops[..prelude]` are all
     /// `Const` ops into registers no body op ever writes (the optimizer's
     /// const-hoist pass, which only fires on jump-free tapes). An engine
-    /// that keeps a persistent register buffer per tape may run the
-    /// prelude once ([`exec_prelude`]) and then execute only
-    /// `ops[prelude..]` each cycle ([`exec_tape_body`]); executing the
-    /// whole tape from op 0 with scratch registers is equally correct.
+    /// that keeps a persistent register bank per tape may run the prelude
+    /// once ([`ExecTape::bank`]) and then execute only `ops[prelude..]`
+    /// each cycle ([`ExecTape::run_body`]); executing the whole tape from
+    /// op 0 with scratch registers is equally correct.
     pub prelude: u32,
+}
+
+/// An executable tape at the register word its width proof allows
+/// ([`narrow`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ExecTape {
+    /// Every value provably fits in 64 bits: 16-byte ops, `u64` registers.
+    Narrow(Tape<u64>),
+    /// The fallback: `u128` immediates and registers.
+    Wide(Tape<u128>),
+}
+
+impl Default for ExecTape {
+    fn default() -> Self {
+        ExecTape::Narrow(Tape::default())
+    }
+}
+
+/// Evaluates `$body` with `$t` bound to the [`Tape`] inside an
+/// [`ExecTape`], whichever its word.
+macro_rules! with_tape {
+    ($tape:expr, $t:ident => $body:expr) => {
+        match $tape {
+            ExecTape::Narrow($t) => $body,
+            ExecTape::Wide($t) => $body,
+        }
+    };
+}
+
+/// Register storage for [`ExecTape`]s: one bank per word, of which a tape
+/// uses its own. As scratch ([`ExecTape::run`]) it grows on demand; as a
+/// persistent bank ([`ExecTape::bank`]) it also holds the const prelude.
+#[derive(Debug, Default)]
+pub(crate) struct Regs {
+    narrow: Vec<u64>,
+    wide: Vec<u128>,
+}
+
+/// The first `n` registers of `bank`, grown with zeros if it is shorter.
+fn grown<W: Word>(bank: &mut Vec<W>, n: u32) -> &mut [W] {
+    if bank.len() < n as usize {
+        bank.resize(n as usize, W::ZERO);
+    }
+    bank
+}
+
+impl ExecTape {
+    /// Whether the tape runs on `u128` registers.
+    pub(crate) fn is_wide(&self) -> bool {
+        matches!(self, ExecTape::Wide(_))
+    }
+
+    /// The tape re-encoded over `u128` (borrowed if it already is).
+    pub(crate) fn wide(&self) -> Cow<'_, Tape<u128>> {
+        match self {
+            ExecTape::Wide(t) => Cow::Borrowed(t),
+            ExecTape::Narrow(t) => Cow::Owned(Tape {
+                ops: t.ops.iter().map(|op| widen_op(op, &mut |r| r)).collect(),
+                nregs: t.nregs,
+                prelude: t.prelude,
+            }),
+        }
+    }
+
+    /// A persistent register bank for this tape with its const prelude
+    /// installed; pairs with [`ExecTape::run_body`].
+    pub(crate) fn bank(&self) -> Regs {
+        fn install<W: Word>(t: &Tape<W>, bank: &mut Vec<W>) {
+            let regs = grown(bank, t.nregs);
+            for op in &t.ops[..t.prelude as usize] {
+                match op {
+                    Op::Const { dst, val } => regs[*dst as usize] = *val,
+                    _ => unreachable!("validate: prelude ops are Const"),
+                }
+            }
+        }
+        let mut regs = Regs::default();
+        match self {
+            ExecTape::Narrow(t) => install(t, &mut regs.narrow),
+            ExecTape::Wide(t) => install(t, &mut regs.wide),
+        }
+        regs
+    }
+
+    /// Executes the whole tape over scratch registers and exclusive
+    /// (`&mut`) packed state.
+    pub(crate) fn run<const TRACK: bool>(
+        &self,
+        regs: &mut Regs,
+        cur: &mut [u128],
+        next: &mut [u128],
+        mems: &[Vec<u128>],
+        pending: &mut Vec<(u32, u64, u128)>,
+        changed: &mut Vec<u32>,
+    ) {
+        // SAFETY: `cur`/`next` are exclusive borrows covering every slot
+        // a validated tape can touch.
+        unsafe {
+            self.run_ptr::<TRACK, _>(
+                regs,
+                cur.as_mut_ptr(),
+                next.as_mut_ptr(),
+                mems,
+                pending,
+                changed,
+            )
+        }
+    }
+
+    /// [`ExecTape::run`] over raw state pointers.
+    ///
+    /// # Safety
+    ///
+    /// As for [`exec`].
+    pub(crate) unsafe fn run_ptr<const TRACK: bool, M: TapeMems + ?Sized>(
+        &self,
+        regs: &mut Regs,
+        cur: *mut u128,
+        next: *mut u128,
+        mems: &M,
+        pending: &mut Vec<(u32, u64, u128)>,
+        changed: &mut Vec<u32>,
+    ) {
+        // Executing from op 0 re-runs any prelude into scratch registers;
+        // prelude ops are ordinary `Const`s, so this is always correct.
+        unsafe {
+            match self {
+                ExecTape::Narrow(t) => {
+                    let regs = grown(&mut regs.narrow, t.nregs);
+                    exec::<TRACK, _, M>(t, 0, regs, cur, next, mems, pending, changed)
+                }
+                ExecTape::Wide(t) => {
+                    let regs = grown(&mut regs.wide, t.nregs);
+                    exec::<TRACK, _, M>(t, 0, regs, cur, next, mems, pending, changed)
+                }
+            }
+        }
+    }
+
+    /// Executes only `ops[prelude..]` over a bank made by
+    /// [`ExecTape::bank`] for this tape, which must persist between
+    /// calls. Untracked: the static schedules that use banks need no
+    /// change list.
+    pub(crate) fn run_body(
+        &self,
+        bank: &mut Regs,
+        cur: &mut [u128],
+        next: &mut [u128],
+        mems: &[Vec<u128>],
+        pending: &mut Vec<(u32, u64, u128)>,
+        changed: &mut Vec<u32>,
+    ) {
+        fn body<W: Word>(
+            t: &Tape<W>,
+            regs: &mut [W],
+            cur: &mut [u128],
+            next: &mut [u128],
+            mems: &[Vec<u128>],
+            pending: &mut Vec<(u32, u64, u128)>,
+            changed: &mut Vec<u32>,
+        ) {
+            assert!(regs.len() >= t.nregs as usize, "register bank built for another tape");
+            // SAFETY: as for `ExecTape::run`; a nonzero prelude start is
+            // sound because `validate` rejects preludes on tapes with
+            // jumps.
+            unsafe {
+                exec::<false, W, _>(
+                    t,
+                    t.prelude as usize,
+                    regs,
+                    cur.as_mut_ptr(),
+                    next.as_mut_ptr(),
+                    mems,
+                    pending,
+                    changed,
+                )
+            }
+        }
+        match self {
+            ExecTape::Narrow(t) => body(t, &mut bank.narrow, cur, next, mems, pending, changed),
+            ExecTape::Wide(t) => body(t, &mut bank.wide, cur, next, mems, pending, changed),
+        }
+    }
+
+    /// Rewrites ranked slots and memories to `slots[rank]`/`mems[rank]`.
+    fn relocate(&mut self, slots: &[u32], mems: &[u32]) {
+        with_tape!(self, t => {
+            for op in &mut t.ops {
+                if let Some(s) = op.slot_mut() {
+                    *s = slots[*s as usize];
+                }
+                if let Some(m) = op.mem_mut() {
+                    *m = mems[*m as usize];
+                }
+            }
+        })
+    }
 }
 
 /// A compiled update block in virtual-register form: what [`compile_block`]
@@ -408,14 +766,28 @@ pub(crate) struct VTape {
 /// The physical register budget of an executable tape ([`Reg`] is `u16`).
 pub(crate) const REG_BUDGET: u32 = 1 << 16;
 
-/// Narrows a virtual tape to executable form, enforcing the physical
-/// register budget. `context` names the tape (hierarchical block path and
-/// kind) for the panic message.
+/// Narrows a virtual tape to executable form: enforces the physical
+/// register budget and picks the register word. `widths`/`mem_widths` are
+/// the width tables the tape's slots and memories index. `context` names
+/// the tape (hierarchical block path and kind) for the panic message.
+///
+/// The tape runs on `u64` only when the proof holds: every register is
+/// provably below 2^64 ([`value_bits`], the optimizer's known-bits
+/// transfer united over every def), every slot it reads or
+/// read-modify-writes and every memory it reads is at most 64 bits wide,
+/// and every immediate and memory size fits the `u64` encoding. Otherwise
+/// it keeps the `u128` encoding. The choice is a pure function of the
+/// tape and its width tables.
 ///
 /// # Panics
 ///
 /// Panics if the tape needs more than [`REG_BUDGET`] registers.
-pub(crate) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
+pub(crate) fn narrow(
+    vt: &VTape,
+    widths: &[u32],
+    mem_widths: &[u32],
+    context: impl Fn() -> String,
+) -> ExecTape {
     assert!(
         vt.nregs <= REG_BUDGET,
         "tape register budget ({REG_BUDGET}) exceeded in {}: {} registers required; \
@@ -423,26 +795,65 @@ pub(crate) fn narrow(vt: &VTape, context: impl Fn() -> String) -> Tape {
         context(),
         vt.nregs,
     );
-    let ops = vt.ops.iter().map(|op| op.map_regs(&mut |r| r as Reg)).collect();
-    Tape { ops, nregs: vt.nregs, prelude: vt.prelude }
+    let reg = &mut |r: VReg| r as Reg;
+    let narrow_state = vt.ops.iter().all(|op| match *op {
+        Op::Read { slot, .. } | Op::WriteMasked { slot, .. } | Op::WriteNextMasked { slot, .. } => {
+            widths[slot as usize] <= 64
+        }
+        Op::MemRead { mem, .. } => mem_widths[mem as usize] <= 64,
+        _ => true,
+    });
+    if narrow_state && value_bits(vt, widths, mem_widths) >> 64 == 0 {
+        let ops: Option<Vec<Op<Reg, u64>>> = vt
+            .ops
+            .iter()
+            .map(|op| op.map(reg, &mut u64::from_u128).filter(Op::fits_word))
+            .collect();
+        if let Some(ops) = ops {
+            return ExecTape::Narrow(Tape { ops, nregs: vt.nregs, prelude: vt.prelude });
+        }
+    }
+    let ops = vt.ops.iter().map(|op| op.map_regs(reg)).collect();
+    ExecTape::Wide(Tape { ops, nregs: vt.nregs, prelude: vt.prelude })
+}
+
+/// `op` over `u128`, with registers passed through `f`.
+fn widen_op<R: Copy, S: Copy, W: Word>(op: &Op<R, W>, f: &mut impl FnMut(R) -> S) -> Op<S> {
+    op.map(f, &mut |v: W| Some(v.to_u128())).expect("every word widens to u128")
 }
 
 /// Widens an executable tape back to virtual-register form (used to
 /// re-optimize fused tapes, where cross-block redundancy appears).
-pub(crate) fn widen(t: &Tape) -> VTape {
-    VTape {
-        ops: t.ops.iter().map(|op| op.map_regs(&mut |r| r as VReg)).collect(),
+pub(crate) fn widen(t: &ExecTape) -> VTape {
+    with_tape!(t, t => VTape {
+        ops: t.ops.iter().map(|op| widen_op(op, &mut |r| r as VReg)).collect(),
         nregs: t.nregs,
         prelude: t.prelude,
-    }
+    })
 }
 
 pub(crate) fn mask_of(width: u32) -> u128 {
-    if width >= 128 {
-        u128::MAX
+    mask_w(width)
+}
+
+/// The low-`width`-bits mask in word `W` (all ones from `W::BITS` up).
+fn mask_w<W: Word>(width: u32) -> W {
+    if width >= W::BITS {
+        !W::ZERO
     } else {
-        (1u128 << width) - 1
+        (W::ONE << width).wrapping_sub(W::ONE)
     }
+}
+
+/// `Sext`'s sign bit and extension bits for a `from`-bit value widened to
+/// `to` bits (`from >= 1`).
+pub(crate) fn sext_masks<W: Word>(from: u8, to: u8) -> (W, W) {
+    (W::ONE << (from as u32 - 1), mask_w::<W>(to as u32) & !mask_w::<W>(from as u32))
+}
+
+/// A bit width or bit offset as stored in an op (IR widths are at most 128).
+fn w8(x: u32) -> u8 {
+    u8::try_from(x).expect("IR bit widths fit in u8")
 }
 
 /// Compiles the statements of one IR block into a virtual-register tape.
@@ -476,7 +887,7 @@ struct BodyKey {
 /// One distinct body's compiled result, shared by every instance.
 struct Body {
     /// The narrowed tape over ranked slots and memories.
-    tape: Tape,
+    tape: ExecTape,
     /// What optimizing the body added to the report (`None` with the
     /// optimizer off).
     delta: Option<OptReport>,
@@ -542,7 +953,7 @@ pub(crate) fn compile_blocks(
     mem_widths: &[u32],
     report: Option<&mut OptReport>,
     o: &mut Overheads,
-) -> Vec<Tape> {
+) -> Vec<ExecTape> {
     let t0 = Instant::now();
     let folded: Vec<Option<Vec<Stmt>>> = design
         .blocks()
@@ -560,7 +971,7 @@ pub(crate) fn compile_blocks(
     let mut tapes = Vec::with_capacity(folded.len());
     for (i, (b, f)) in design.blocks().iter().zip(&folded).enumerate() {
         let Some(stmts) = f else {
-            tapes.push(Tape::default());
+            tapes.push(ExecTape::default());
             continue;
         };
         let mut vt = compile_block(design, stmts, b.kind);
@@ -577,27 +988,23 @@ pub(crate) fn compile_blocks(
             Entry::Vacant(e) => {
                 let key = e.key();
                 let mut vt = VTape { ops: key.ops.clone(), nregs: key.nregs, prelude: 0 };
-                let delta = report.is_some().then(|| {
+                let mut delta = report.is_some().then(|| {
                     let t = Instant::now();
                     let mut delta = OptReport { blocks: 1, ..OptReport::new() };
                     optimize(&mut vt, &key.widths, &key.mem_widths, &mut delta);
                     opt_time += t.elapsed();
                     delta
                 });
-                let tape = narrow(&vt, || block_context(design, i));
+                let tape = narrow(&vt, &key.widths, &key.mem_widths, || block_context(design, i));
+                if let Some(delta) = delta.as_mut() {
+                    delta.wide_tapes = tape.is_wide() as u64;
+                }
                 e.insert(Body { tape, delta, instances: 0 })
             }
         };
         body.instances += 1;
         let mut tape = body.tape.clone();
-        for op in &mut tape.ops {
-            if let Some(s) = op.slot_mut() {
-                *s = slots[*s as usize];
-            }
-            if let Some(m) = op.mem_mut() {
-                *m = mems[*m as usize];
-            }
-        }
+        tape.relocate(&slots, &mems);
         // Range-check every stamped tape so the executors' unchecked
         // accesses are sound.
         validate(&tape, widths.len(), mem_widths.len());
@@ -623,7 +1030,7 @@ pub(crate) fn compile_blocks(
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct BlockTapes {
-    tapes: Vec<Tape>,
+    tapes: Vec<ExecTape>,
     /// The optimizer report; `None` with the optimizer off.
     pub report: Option<OptReport>,
 }
@@ -667,7 +1074,7 @@ pub fn reference_block_tapes(design: &Design, opt: bool) -> BlockTapes {
         .enumerate()
         .map(|(i, b)| {
             let BlockBody::Ir(stmts) = &b.body else {
-                return Tape::default();
+                return ExecTape::default();
             };
             let mut vt = compile_block(design, &fold_stmts(stmts), b.kind);
             if let Some(rep) = report.as_mut() {
@@ -675,7 +1082,10 @@ pub fn reference_block_tapes(design: &Design, opt: bool) -> BlockTapes {
                 rep.blocks += 1;
                 rep.bodies += 1;
             }
-            let tape = narrow(&vt, || block_context(design, i));
+            let tape = narrow(&vt, &widths, &mem_widths, || block_context(design, i));
+            if let Some(rep) = report.as_mut() {
+                rep.wide_tapes += tape.is_wide() as u64;
+            }
             validate(&tape, widths.len(), mem_widths.len());
             tape
         })
@@ -683,9 +1093,14 @@ pub fn reference_block_tapes(design: &Design, opt: bool) -> BlockTapes {
     BlockTapes { tapes, report }
 }
 
-/// Validates that every register and memory index in a tape is in range;
-/// called once at construction so the executor can use unchecked reads.
-pub(crate) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
+/// Validates that every register and memory index in a tape is in range
+/// and that every shift the executor derives fits the tape's word; called
+/// once at construction so the executor can use unchecked reads.
+pub(crate) fn validate(tape: &ExecTape, nslots: usize, nmems: usize) {
+    with_tape!(tape, t => validate_words(t, nslots, nmems))
+}
+
+fn validate_words<W: Word>(tape: &Tape<W>, nslots: usize, nmems: usize) {
     let n = tape.nregs as usize;
     let reg_ok = |r: Reg| (r as usize) < n;
     let pre = tape.prelude as usize;
@@ -706,74 +1121,78 @@ pub(crate) fn validate(tape: &Tape, nslots: usize, nmems: usize) {
             "prelude on a tape with jumps"
         );
     }
+    let words_ok = |w: &W::Words| (*w).into() >= 1;
     for op in &tape.ops {
-        let ok = match op {
-            Op::Const { dst, .. } => reg_ok(*dst),
-            Op::Read { dst, slot } => reg_ok(*dst) && (*slot as usize) < nslots,
-            Op::Copy { dst, a } => reg_ok(*dst) && reg_ok(*a),
-            Op::Add { dst, a, b, .. }
-            | Op::Sub { dst, a, b, .. }
-            | Op::Mul { dst, a, b, .. }
-            | Op::And { dst, a, b }
-            | Op::Or { dst, a, b }
-            | Op::Xor { dst, a, b }
-            | Op::Shl { dst, a, b, .. }
-            | Op::Shr { dst, a, b, .. }
-            | Op::Sra { dst, a, b, .. }
-            | Op::Eq { dst, a, b }
-            | Op::Ne { dst, a, b }
-            | Op::Lt { dst, a, b }
-            | Op::Ge { dst, a, b }
-            | Op::LtS { dst, a, b, .. }
-            | Op::GeS { dst, a, b, .. }
-            | Op::ShlOr { dst, a, b, .. } => reg_ok(*dst) && reg_ok(*a) && reg_ok(*b),
-            Op::Not { dst, a, .. }
-            | Op::Neg { dst, a, .. }
-            | Op::RedAnd { dst, a, .. }
-            | Op::RedOr { dst, a }
-            | Op::RedXor { dst, a }
-            | Op::Slice { dst, a, .. }
-            | Op::Sext { dst, a, .. } => reg_ok(*dst) && reg_ok(*a),
-            Op::Mux { dst, cond, t, f } => {
-                reg_ok(*dst) && reg_ok(*cond) && reg_ok(*t) && reg_ok(*f)
-            }
-            Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                reg_ok(*dst)
-                    && reg_ok(*c1)
-                    && reg_ok(*t1)
-                    && reg_ok(*c2)
-                    && reg_ok(*t2)
-                    && reg_ok(*f)
-            }
-            Op::Select { dst, sel, base, n: k } => {
-                reg_ok(*dst) && reg_ok(*sel) && *k >= 1 && (*base as usize + *k as usize) <= n
-            }
-            Op::Write { slot, src } | Op::WriteNext { slot, src } => {
-                reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::WriteMasked { slot, src, .. } | Op::WriteNextMasked { slot, src, .. } => {
-                reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::WriteIf { slot, cond, src, .. } | Op::WriteNextIf { slot, cond, src, .. } => {
-                reg_ok(*cond) && reg_ok(*src) && (*slot as usize) < nslots
-            }
-            Op::MemRead { dst, mem, addr, words } => {
-                reg_ok(*dst) && reg_ok(*addr) && (*mem as usize) < nmems && *words >= 1
-            }
-            Op::MemWrite { mem, addr, data, words } => {
-                reg_ok(*addr) && reg_ok(*data) && (*mem as usize) < nmems && *words >= 1
-            }
-            Op::MemWriteIf { mem, addr, data, cond, words, .. } => {
-                reg_ok(*addr)
-                    && reg_ok(*data)
-                    && reg_ok(*cond)
-                    && (*mem as usize) < nmems
-                    && *words >= 1
-            }
-            Op::Jz { cond, target } => reg_ok(*cond) && (*target as usize) <= tape.ops.len(),
-            Op::JneConst { a, target, .. } => reg_ok(*a) && (*target as usize) <= tape.ops.len(),
-            Op::Jmp { target } => (*target as usize) <= tape.ops.len(),
-        };
+        let ok = op.fits_word()
+            && match op {
+                Op::Const { dst, .. } => reg_ok(*dst),
+                Op::Read { dst, slot } => reg_ok(*dst) && (*slot as usize) < nslots,
+                Op::Copy { dst, a } => reg_ok(*dst) && reg_ok(*a),
+                Op::Add { dst, a, b, .. }
+                | Op::Sub { dst, a, b, .. }
+                | Op::Mul { dst, a, b, .. }
+                | Op::And { dst, a, b }
+                | Op::Or { dst, a, b }
+                | Op::Xor { dst, a, b }
+                | Op::Shl { dst, a, b, .. }
+                | Op::Shr { dst, a, b, .. }
+                | Op::Sra { dst, a, b, .. }
+                | Op::Eq { dst, a, b }
+                | Op::Ne { dst, a, b }
+                | Op::Lt { dst, a, b }
+                | Op::Ge { dst, a, b }
+                | Op::LtS { dst, a, b, .. }
+                | Op::GeS { dst, a, b, .. }
+                | Op::ShlOr { dst, a, b, .. } => reg_ok(*dst) && reg_ok(*a) && reg_ok(*b),
+                Op::Not { dst, a, .. }
+                | Op::Neg { dst, a, .. }
+                | Op::RedAnd { dst, a, .. }
+                | Op::RedOr { dst, a }
+                | Op::RedXor { dst, a }
+                | Op::Slice { dst, a, .. }
+                | Op::Sext { dst, a, .. } => reg_ok(*dst) && reg_ok(*a),
+                Op::Mux { dst, cond, t, f } => {
+                    reg_ok(*dst) && reg_ok(*cond) && reg_ok(*t) && reg_ok(*f)
+                }
+                Op::Mux2 { dst, c1, t1, c2, t2, f } => {
+                    reg_ok(*dst)
+                        && reg_ok(*c1)
+                        && reg_ok(*t1)
+                        && reg_ok(*c2)
+                        && reg_ok(*t2)
+                        && reg_ok(*f)
+                }
+                Op::Select { dst, sel, base, n: k } => {
+                    reg_ok(*dst) && reg_ok(*sel) && *k >= 1 && (*base as usize + *k as usize) <= n
+                }
+                Op::Write { slot, src } | Op::WriteNext { slot, src } => {
+                    reg_ok(*src) && (*slot as usize) < nslots
+                }
+                Op::WriteMasked { slot, src, .. } | Op::WriteNextMasked { slot, src, .. } => {
+                    reg_ok(*src) && (*slot as usize) < nslots
+                }
+                Op::WriteIf { slot, cond, src, .. } | Op::WriteNextIf { slot, cond, src, .. } => {
+                    reg_ok(*cond) && reg_ok(*src) && (*slot as usize) < nslots
+                }
+                Op::MemRead { dst, mem, addr, words } => {
+                    reg_ok(*dst) && reg_ok(*addr) && (*mem as usize) < nmems && words_ok(words)
+                }
+                Op::MemWrite { mem, addr, data, words } => {
+                    reg_ok(*addr) && reg_ok(*data) && (*mem as usize) < nmems && words_ok(words)
+                }
+                Op::MemWriteIf { mem, addr, data, cond, words, .. } => {
+                    reg_ok(*addr)
+                        && reg_ok(*data)
+                        && reg_ok(*cond)
+                        && (*mem as usize) < nmems
+                        && words_ok(words)
+                }
+                Op::Jz { cond, target } => reg_ok(*cond) && (*target as usize) <= tape.ops.len(),
+                Op::JneConst { a, target, .. } => {
+                    reg_ok(*a) && (*target as usize) <= tape.ops.len()
+                }
+                Op::Jmp { target } => (*target as usize) <= tape.ops.len(),
+            };
         assert!(ok, "invalid tape op {op:?}");
     }
 }
@@ -788,25 +1207,24 @@ pub(crate) fn fold_stmts(stmts: &[Stmt]) -> Vec<Stmt> {
 /// rebased; virtual registers can be reused across blocks because every
 /// block defines its registers before use). This is how the fully
 /// specialized engine eliminates per-block dispatch — the analog of
-/// SimJIT compiling the whole model into one C++ translation unit.
-pub(crate) fn fuse(tapes: &[&Tape]) -> Tape {
-    let mut ops = Vec::with_capacity(tapes.iter().map(|t| t.ops.len()).sum());
-    let mut nregs = 0u32;
+/// SimJIT compiling the whole model into one C++ translation unit. The
+/// result is in virtual form, over `u128`, for optimizing and [`narrow`].
+pub(crate) fn fuse(tapes: &[&ExecTape]) -> VTape {
+    let mut fused = VTape { ops: Vec::new(), nregs: 0, prelude: 0 };
     for t in tapes {
-        let base = ops.len() as u32;
-        nregs = nregs.max(t.nregs);
-        for op in &t.ops {
-            let mut op = op.clone();
-            match &mut op {
-                Op::Jz { target, .. } | Op::Jmp { target } | Op::JneConst { target, .. } => {
-                    *target += base
-                }
-                _ => {}
+        let base = fused.ops.len() as u32;
+        let t = widen(t);
+        fused.nregs = fused.nregs.max(t.nregs);
+        for mut op in t.ops {
+            if let Op::Jz { target, .. } | Op::Jmp { target } | Op::JneConst { target, .. } =
+                &mut op
+            {
+                *target += base
             }
-            ops.push(op);
+            fused.ops.push(op);
         }
     }
-    Tape { ops, nregs, prelude: 0 }
+    fused
 }
 
 /// Constant-folds an expression: subtrees with no signal or memory reads
@@ -1003,13 +1421,13 @@ impl Compiler<'_> {
                     (false, false) => self.ops.push(Op::WriteMasked {
                         slot,
                         src,
-                        lo: lv.lo,
+                        lo: w8(lv.lo),
                         field: mask_of(lv.width()) << lv.lo,
                     }),
                     (true, false) => self.ops.push(Op::WriteNextMasked {
                         slot,
                         src,
-                        lo: lv.lo,
+                        lo: w8(lv.lo),
                         field: mask_of(lv.width()) << lv.lo,
                     }),
                 }
@@ -1091,7 +1509,7 @@ impl Compiler<'_> {
             Expr::Slice { expr, lo, hi } => {
                 let a = self.emit_expr(expr);
                 let dst = self.alloc();
-                self.ops.push(Op::Slice { dst, a, lo: *lo, mask: mask_of(hi - lo) });
+                self.ops.push(Op::Slice { dst, a, lo: w8(*lo), mask: mask_of(hi - lo) });
                 dst
             }
             Expr::Concat(parts) => {
@@ -1123,7 +1541,7 @@ impl Compiler<'_> {
                 let b = self.emit_expr(eb);
                 let w = self.expr_width(ea);
                 let m = mask_of(w);
-                let ext = 128 - w;
+                let width = w8(w);
                 let dst = self.alloc();
                 self.ops.push(match op {
                     BinOp::Add => Op::Add { dst, a, b, mask: m },
@@ -1132,15 +1550,15 @@ impl Compiler<'_> {
                     BinOp::And => Op::And { dst, a, b },
                     BinOp::Or => Op::Or { dst, a, b },
                     BinOp::Xor => Op::Xor { dst, a, b },
-                    BinOp::Shl => Op::Shl { dst, a, b, width: w, mask: m },
-                    BinOp::Shr => Op::Shr { dst, a, b, width: w },
-                    BinOp::Sra => Op::Sra { dst, a, b, width: w, mask: m, ext },
+                    BinOp::Shl => Op::Shl { dst, a, b, width, mask: m },
+                    BinOp::Shr => Op::Shr { dst, a, b, width },
+                    BinOp::Sra => Op::Sra { dst, a, b, width, mask: m },
                     BinOp::Eq => Op::Eq { dst, a, b },
                     BinOp::Ne => Op::Ne { dst, a, b },
                     BinOp::Lt => Op::Lt { dst, a, b },
                     BinOp::Ge => Op::Ge { dst, a, b },
-                    BinOp::LtS => Op::LtS { dst, a, b, ext },
-                    BinOp::GeS => Op::GeS { dst, a, b, ext },
+                    BinOp::LtS => Op::LtS { dst, a, b, width },
+                    BinOp::GeS => Op::GeS { dst, a, b, width },
                 });
                 dst
             }
@@ -1170,12 +1588,7 @@ impl Compiler<'_> {
                 let a = self.emit_expr(inner);
                 let iw = self.expr_width(inner);
                 let dst = self.alloc();
-                self.ops.push(Op::Sext {
-                    dst,
-                    a,
-                    sign_bit: 1u128 << (iw - 1),
-                    ext_or: mask_of(*w) & !mask_of(iw),
-                });
+                self.ops.push(Op::Sext { dst, a, from: w8(iw), to: w8(*w) });
                 dst
             }
             Expr::Trunc(inner, w) => {
@@ -1217,16 +1630,6 @@ pub(crate) fn expr_width(design: &Design, e: &Expr) -> u32 {
     }
 }
 
-/// Executes a tape over the packed state.
-///
-/// When `TRACK` is true, combinational writes that change a slot's value
-/// push the slot index into `changed` (used by the event-driven specialized
-/// engine for sensitivity propagation).
-///
-/// Uses unchecked indexing in the hot loop; every index is range-checked
-/// once by [`validate`] at simulator construction, which makes the
-/// unchecked accesses sound.
-#[allow(clippy::too_many_arguments)]
 /// Read access to memory columns for the tape executor, so the same
 /// core runs over plain `Vec<u128>` storage (the scalar engines) and
 /// lane-interleaved storage (the batch engine's per-lane fallback). Mem
@@ -1247,105 +1650,38 @@ impl TapeMems for [Vec<u128>] {
     }
 }
 
-/// Runs a tape's const prelude into a persistent register buffer, once
-/// per buffer lifetime. Pairs with [`exec_tape_body`].
-pub(crate) fn exec_prelude(tape: &Tape, regs: &mut [u128]) {
-    for op in &tape.ops[..tape.prelude as usize] {
-        match op {
-            Op::Const { dst, val } => regs[*dst as usize] = *val,
-            _ => unreachable!("validate: prelude ops are Const"),
-        }
-    }
-}
-
-/// Executes only `ops[prelude..]` of a tape whose prelude was installed
-/// in `regs` by [`exec_prelude`]. `regs` must persist between calls.
-pub(crate) fn exec_tape_body<const TRACK: bool>(
-    tape: &Tape,
-    regs: &mut [u128],
-    cur: &mut [u128],
-    next: &mut [u128],
-    mems: &[Vec<u128>],
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    // SAFETY: as for [`exec_tape`]; a nonzero prelude start is sound
-    // because `validate` rejects preludes on tapes with jumps.
-    unsafe {
-        exec_tape_ptr_from::<TRACK, _>(
-            tape,
-            tape.prelude as usize,
-            regs,
-            cur.as_mut_ptr(),
-            next.as_mut_ptr(),
-            mems,
-            pending,
-            changed,
-        )
-    }
-}
-
-/// Executes a tape over exclusive (`&mut`) packed state.
-pub(crate) fn exec_tape<const TRACK: bool>(
-    tape: &Tape,
-    regs: &mut [u128],
-    cur: &mut [u128],
-    next: &mut [u128],
-    mems: &[Vec<u128>],
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    // SAFETY: `cur`/`next` are exclusive borrows covering every slot a
-    // validated tape can touch.
-    unsafe {
-        exec_tape_ptr::<TRACK, _>(
-            tape,
-            regs,
-            cur.as_mut_ptr(),
-            next.as_mut_ptr(),
-            mems,
-            pending,
-            changed,
-        )
-    }
-}
-
-/// The tape executor core over raw state pointers.
+/// The tape executor: runs `tape.ops[start..]` over registers of word `W`
+/// and the packed `u128` state. The one executor body, monomorphized per
+/// word and per `TRACK` mode; every engine's tape path reaches it through
+/// [`ExecTape`].
+///
+/// When `TRACK` is true, combinational writes that change a slot's value
+/// push the slot index into `changed` (used by the event-driven specialized
+/// engine for sensitivity propagation).
+///
+/// A `u64` tape reads slots and memories truncated and stores its values
+/// zero-extended; the width proof in [`narrow`] makes both exact.
+///
+/// Uses unchecked indexing in the hot loop; every index, and every shift
+/// derived from an immediate, is range-checked once by [`validate`] at
+/// simulator construction, which makes the unchecked accesses sound.
 ///
 /// # Safety
 ///
 /// Callers must guarantee, for the duration of the call:
+/// - `tape` passed [`validate`], `regs` holds at least `tape.nregs`
+///   registers, and `start` is `0` or `tape.prelude` (jump-free when
+///   `prelude > 0`);
 /// - `cur` and `next` point to arrays covering every net slot the tape
 ///   references (ensured by [`validate`]);
 /// - no other thread concurrently writes any slot this tape reads, and
 ///   no other thread concurrently reads or writes any slot this tape
 ///   writes (every caller runs single-threaded over exclusive borrows).
-pub(crate) unsafe fn exec_tape_ptr<const TRACK: bool, M: TapeMems + ?Sized>(
-    tape: &Tape,
-    regs: &mut [u128],
-    cur: *mut u128,
-    next: *mut u128,
-    mems: &M,
-    pending: &mut Vec<(u32, u64, u128)>,
-    changed: &mut Vec<u32>,
-) {
-    // Executing from op 0 re-runs any prelude into scratch registers;
-    // prelude ops are ordinary `Const`s, so this is always correct.
-    unsafe { exec_tape_ptr_from::<TRACK, M>(tape, 0, regs, cur, next, mems, pending, changed) }
-}
-
-/// [`exec_tape_ptr`] with an explicit start index (`0` or the tape's
-/// prelude length).
-///
-/// # Safety
-///
-/// As for [`exec_tape_ptr`]; additionally `start` must be `0` or
-/// `tape.prelude` on a validated tape (jump-free when `prelude > 0`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>(
-    tape: &Tape,
+unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
+    tape: &Tape<W>,
     start: usize,
-    regs: &mut [u128],
+    regs: &mut [W],
     cur: *mut u128,
     next: *mut u128,
     mems: &M,
@@ -1371,52 +1707,60 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
         match unsafe { ops.get_unchecked(pc) } {
             Op::Const { dst, val } => w!(dst, *val),
             Op::Read { dst, slot } => {
-                w!(dst, unsafe { *cur.add(*slot as usize) })
+                w!(dst, W::truncate(unsafe { *cur.add(*slot as usize) }))
             }
             Op::Copy { dst, a } => w!(dst, r!(a)),
-            Op::Add { dst, a, b, mask } => w!(dst, r!(a).wrapping_add(r!(b)) & mask),
-            Op::Sub { dst, a, b, mask } => w!(dst, r!(a).wrapping_sub(r!(b)) & mask),
-            Op::Mul { dst, a, b, mask } => w!(dst, r!(a).wrapping_mul(r!(b)) & mask),
+            Op::Add { dst, a, b, mask } => w!(dst, r!(a).wrapping_add(r!(b)) & *mask),
+            Op::Sub { dst, a, b, mask } => w!(dst, r!(a).wrapping_sub(r!(b)) & *mask),
+            Op::Mul { dst, a, b, mask } => w!(dst, r!(a).wrapping_mul(r!(b)) & *mask),
             Op::And { dst, a, b } => w!(dst, r!(a) & r!(b)),
             Op::Or { dst, a, b } => w!(dst, r!(a) | r!(b)),
             Op::Xor { dst, a, b } => w!(dst, r!(a) ^ r!(b)),
-            Op::Not { dst, a, mask } => w!(dst, !r!(a) & mask),
-            Op::Neg { dst, a, mask } => w!(dst, r!(a).wrapping_neg() & mask),
+            Op::Not { dst, a, mask } => w!(dst, !r!(a) & *mask),
+            Op::Neg { dst, a, mask } => w!(dst, r!(a).wrapping_neg() & *mask),
             Op::Shl { dst, a, b, width, mask } => {
                 let amt = r!(b);
-                w!(dst, if amt >= *width as u128 { 0 } else { (r!(a) << amt) & mask });
+                let v = if amt >= W::from(*width) {
+                    W::ZERO
+                } else {
+                    (r!(a) << amt.low_u64() as u32) & *mask
+                };
+                w!(dst, v);
             }
             Op::Shr { dst, a, b, width } => {
                 let amt = r!(b);
-                w!(dst, if amt >= *width as u128 { 0 } else { r!(a) >> amt });
+                w!(
+                    dst,
+                    if amt >= W::from(*width) { W::ZERO } else { r!(a) >> amt.low_u64() as u32 }
+                );
             }
-            Op::Sra { dst, a, b, width, mask, ext } => {
-                let amt = (r!(b)).min(*width as u128) as u32;
-                let v = (r!(a) << ext) as i128 >> ext;
-                w!(dst, ((v >> amt.min(127)) as u128) & mask);
+            Op::Sra { dst, a, b, width, mask } => {
+                let amt = r!(b).min(W::from(*width)).low_u64() as u32;
+                let ext = W::BITS - *width as u32;
+                w!(dst, r!(a).sra(ext, amt.min(W::BITS - 1)) & *mask);
             }
-            Op::Eq { dst, a, b } => w!(dst, (r!(a) == r!(b)) as u128),
-            Op::Ne { dst, a, b } => w!(dst, (r!(a) != r!(b)) as u128),
-            Op::Lt { dst, a, b } => w!(dst, (r!(a) < r!(b)) as u128),
-            Op::Ge { dst, a, b } => w!(dst, (r!(a) >= r!(b)) as u128),
-            Op::LtS { dst, a, b, ext } => {
-                w!(dst, (((r!(a) << ext) as i128) < ((r!(b) << ext) as i128)) as u128)
+            Op::Eq { dst, a, b } => w!(dst, W::from(r!(a) == r!(b))),
+            Op::Ne { dst, a, b } => w!(dst, W::from(r!(a) != r!(b))),
+            Op::Lt { dst, a, b } => w!(dst, W::from(r!(a) < r!(b))),
+            Op::Ge { dst, a, b } => w!(dst, W::from(r!(a) >= r!(b))),
+            Op::LtS { dst, a, b, width } => {
+                w!(dst, W::from(r!(a).lt_signed(r!(b), W::BITS - *width as u32)))
             }
-            Op::GeS { dst, a, b, ext } => {
-                w!(dst, (((r!(a) << ext) as i128) >= ((r!(b) << ext) as i128)) as u128)
+            Op::GeS { dst, a, b, width } => {
+                w!(dst, W::from(!r!(a).lt_signed(r!(b), W::BITS - *width as u32)))
             }
-            Op::RedAnd { dst, a, mask } => w!(dst, (r!(a) == *mask) as u128),
-            Op::RedOr { dst, a } => w!(dst, (r!(a) != 0) as u128),
-            Op::RedXor { dst, a } => w!(dst, (r!(a).count_ones() % 2) as u128),
-            Op::Slice { dst, a, lo, mask } => w!(dst, (r!(a) >> lo) & mask),
-            Op::ShlOr { dst, a, b, shift } => w!(dst, (r!(a) << shift) | r!(b)),
+            Op::RedAnd { dst, a, mask } => w!(dst, W::from(r!(a) == *mask)),
+            Op::RedOr { dst, a } => w!(dst, W::from(r!(a) != W::ZERO)),
+            Op::RedXor { dst, a } => w!(dst, W::from(r!(a).count_ones() % 2 == 1)),
+            Op::Slice { dst, a, lo, mask } => w!(dst, (r!(a) >> *lo as u32) & *mask),
+            Op::ShlOr { dst, a, b, shift } => w!(dst, (r!(a) << *shift) | r!(b)),
             Op::Mux { dst, cond, t, f } => {
-                w!(dst, if r!(cond) != 0 { r!(t) } else { r!(f) });
+                w!(dst, if r!(cond) != W::ZERO { r!(t) } else { r!(f) });
             }
             Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                let v = if r!(c1) != 0 {
+                let v = if r!(c1) != W::ZERO {
                     r!(t1)
-                } else if r!(c2) != 0 {
+                } else if r!(c2) != W::ZERO {
                     r!(t2)
                 } else {
                     r!(f)
@@ -1424,17 +1768,18 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
                 w!(dst, v);
             }
             Op::Select { dst, sel, base, n } => {
-                let idx = (r!(sel) as usize).min(*n as usize - 1);
+                let idx = (r!(sel).low_u64() as usize).min(*n as usize - 1);
                 let v = unsafe { *regs.get_unchecked(*base as usize + idx) };
                 w!(dst, v);
             }
-            Op::Sext { dst, a, sign_bit, ext_or } => {
+            Op::Sext { dst, a, from, to } => {
+                let (sign_bit, ext_or) = sext_masks::<W>(*from, *to);
                 let v = r!(a);
-                w!(dst, if v & sign_bit != 0 { v | ext_or } else { v });
+                w!(dst, if v & sign_bit != W::ZERO { v | ext_or } else { v });
             }
             Op::Write { slot, src } => {
                 let s = *slot as usize;
-                let v = r!(src);
+                let v = r!(src).to_u128();
                 let c = unsafe { &mut *cur.add(s) };
                 if TRACK {
                     if *c != v {
@@ -1448,7 +1793,8 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
             Op::WriteMasked { slot, src, lo, field } => {
                 let s = *slot as usize;
                 let c = unsafe { &mut *cur.add(s) };
-                let v = (*c & !field) | ((r!(src) << lo) & field);
+                let v = (W::truncate(*c) & !*field) | ((r!(src) << *lo as u32) & *field);
+                let v = v.to_u128();
                 if TRACK {
                     if *c != v {
                         *c = v;
@@ -1459,22 +1805,22 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
                 }
             }
             Op::WriteNext { slot, src } => {
-                let v = r!(src);
+                let v = r!(src).to_u128();
                 unsafe { *next.add(*slot as usize) = v };
             }
             Op::WriteNextMasked { slot, src, lo, field } => {
                 let v = r!(src);
                 let n = unsafe { &mut *next.add(*slot as usize) };
-                *n = (*n & !field) | ((v << lo) & field);
+                *n = ((W::truncate(*n) & !*field) | ((v << *lo as u32) & *field)).to_u128();
             }
             Op::WriteIf { slot, cond, src, neg } => {
-                let take = (r!(cond) != 0) != *neg;
+                let take = (r!(cond) != W::ZERO) != *neg;
                 let s = *slot as usize;
                 let c = unsafe { &mut *cur.add(s) };
                 // Branchless select: an untaken predicate stores the old
                 // value back, which the tracked path below treats as "no
                 // change" — bit-for-bit the branchy original.
-                let v = if take { r!(src) } else { *c };
+                let v = if take { r!(src).to_u128() } else { *c };
                 if TRACK {
                     if *c != v {
                         *c = v;
@@ -1485,27 +1831,27 @@ pub(crate) unsafe fn exec_tape_ptr_from<const TRACK: bool, M: TapeMems + ?Sized>
                 }
             }
             Op::WriteNextIf { slot, cond, src, neg } => {
-                let take = (r!(cond) != 0) != *neg;
+                let take = (r!(cond) != W::ZERO) != *neg;
                 let n = unsafe { &mut *next.add(*slot as usize) };
-                *n = if take { r!(src) } else { *n };
+                *n = if take { r!(src).to_u128() } else { *n };
             }
             Op::MemRead { dst, mem, addr, words } => {
-                let a = (r!(addr) as u64) % words;
+                let a = r!(addr).low_u64() % (*words).into();
                 let v = unsafe { mems.read(*mem as usize, a as usize) };
-                w!(dst, v);
+                w!(dst, W::truncate(v));
             }
             Op::MemWrite { mem, addr, data, words } => {
-                let a = (r!(addr) as u64) % words;
-                pending.push((*mem, a, r!(data)));
+                let a = r!(addr).low_u64() % (*words).into();
+                pending.push((*mem, a, r!(data).to_u128()));
             }
             Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
-                if (r!(cond) != 0) != *neg {
-                    let a = (r!(addr) as u64) % words;
-                    pending.push((*mem, a, r!(data)));
+                if (r!(cond) != W::ZERO) != *neg {
+                    let a = r!(addr).low_u64() % (*words).into();
+                    pending.push((*mem, a, r!(data).to_u128()));
                 }
             }
             Op::Jz { cond, target } => {
-                if r!(cond) == 0 {
+                if r!(cond) == W::ZERO {
                     pc = *target as usize;
                     continue;
                 }
@@ -1582,8 +1928,10 @@ mod tests {
     #[test]
     fn register_budget_panic_names_the_block() {
         let vt = VTape { ops: Vec::new(), nregs: REG_BUDGET + 123, prelude: 0 };
-        let err = std::panic::catch_unwind(|| narrow(&vt, || "top.routers[3].queue (seq)".into()))
-            .expect_err("narrow must panic over budget");
+        let err = std::panic::catch_unwind(|| {
+            narrow(&vt, &[], &[], || "top.routers[3].queue (seq)".into())
+        })
+        .expect_err("narrow must panic over budget");
         let msg = err
             .downcast_ref::<String>()
             .cloned()
@@ -1592,5 +1940,111 @@ mod tests {
         assert!(msg.contains("register budget"), "message: {msg}");
         assert!(msg.contains("top.routers[3].queue (seq)"), "message: {msg}");
         assert!(msg.contains(&(REG_BUDGET + 123).to_string()), "message: {msg}");
+    }
+
+    /// Whether `ops` over slots of `widths` (and one memory per entry of
+    /// `mem_widths`) narrows to `u64` registers.
+    fn narrows(ops: Vec<Op<VReg>>, widths: &[u32], mem_widths: &[u32]) -> bool {
+        let nregs = ops.iter().filter_map(|op| match *op {
+            Op::Read { dst, .. } | Op::Const { dst, .. } | Op::ShlOr { dst, .. } => Some(dst + 1),
+            Op::And { dst, .. } | Op::MemRead { dst, .. } => Some(dst + 1),
+            _ => None,
+        });
+        let vt = VTape { nregs: nregs.max().unwrap_or(0), ops, prelude: 0 };
+        let t = narrow(&vt, widths, mem_widths, || "test tape".into());
+        validate(&t, widths.len(), mem_widths.len());
+        !t.is_wide()
+    }
+
+    /// Each clause of the width proof, on the smallest tape that makes
+    /// it hold or fail.
+    #[test]
+    fn narrow_picks_u64_only_on_proof() {
+        let copy = |w| {
+            narrows(
+                vec![Op::Read { dst: 0, slot: 0 }, Op::Write { slot: 1, src: 0 }],
+                &[w, 128],
+                &[],
+            )
+        };
+        assert!(copy(64), "a 64-bit read fits");
+        assert!(!copy(65), "a 65-bit read does not");
+
+        // A value assembled past 64 bits from narrow reads.
+        let concat = |shift| {
+            narrows(
+                vec![
+                    Op::Read { dst: 0, slot: 0 },
+                    Op::Read { dst: 1, slot: 0 },
+                    Op::ShlOr { dst: 2, a: 0, b: 1, shift },
+                    Op::Write { slot: 1, src: 2 },
+                ],
+                &[32, 128],
+                &[],
+            )
+        };
+        assert!(concat(32));
+        assert!(!concat(33));
+
+        // A register reused for a chain of accumulators: only the latest
+        // def reaches each use, so the bound does not pile up.
+        let mut ops = vec![Op::Read { dst: 0, slot: 0 }, Op::Read { dst: 1, slot: 0 }];
+        for _ in 0..100 {
+            ops.push(Op::ShlOr { dst: 1, a: 0, b: 1, shift: 1 });
+            ops.push(Op::And { dst: 1, a: 1, b: 0 });
+        }
+        ops.push(Op::Write { slot: 1, src: 1 });
+        assert!(narrows(ops, &[1, 8], &[]));
+
+        // At a jump target the def that reaches a use may be any earlier
+        // one: here `r1` is the constant `k` when the jump skips the
+        // 8-bit read, so the shift after the join must fit both.
+        let join = |k: u128| {
+            narrows(
+                vec![
+                    Op::Read { dst: 0, slot: 0 },
+                    Op::Const { dst: 1, val: k },
+                    Op::Jz { cond: 0, target: 4 },
+                    Op::Read { dst: 1, slot: 1 },
+                    Op::ShlOr { dst: 2, a: 1, b: 1, shift: 40 },
+                    Op::Write { slot: 2, src: 2 },
+                ],
+                &[1, 8, 128],
+                &[],
+            )
+        };
+        assert!(join(0xFF));
+        assert!(!join(0xFFFF_FFFF), "the skipped-over constant reaches the join");
+
+        // A masked write read-modify-writes its slot in the tape's word.
+        let masked = |w| {
+            narrows(
+                vec![
+                    Op::Read { dst: 0, slot: 0 },
+                    Op::WriteMasked { slot: 1, src: 0, lo: 0, field: mask_of(8) },
+                ],
+                &[8, w],
+                &[],
+            )
+        };
+        assert!(masked(64));
+        assert!(!masked(65));
+
+        // Memories: read width and word count.
+        let mem = |width, words| {
+            narrows(
+                vec![
+                    Op::Read { dst: 0, slot: 0 },
+                    Op::MemRead { dst: 1, mem: 0, addr: 0, words },
+                    Op::MemWrite { mem: 0, addr: 0, data: 0, words },
+                    Op::Write { slot: 1, src: 1 },
+                ],
+                &[8, 128],
+                &[width],
+            )
+        };
+        assert!(mem(64, 8));
+        assert!(!mem(65, 8));
+        assert!(!mem(64, 1 << 32));
     }
 }

@@ -5,7 +5,9 @@
 #      on one SpecializedBatch simulator (64 lanes, distinct stimulus
 #      per lane) against a scalar Interpreted reference per lane,
 #      comparing every signal of every lane after every cycle. Lane
-#      transposition or plane-program miscompiles fail here.
+#      transposition or plane-program miscompiles fail here. A second
+#      run draws every width from 1..=128 (--wide): plane lowering of
+#      u128 tapes and the per-lane fallback on both register words.
 #   2. Batch fault-campaign throughput smoke: fault_sweep --smoke runs
 #      its mesh4/rtl-ir batch bundle (batch lane reports are
 #      cross-checked against scalar run_diff inside the job) and
@@ -19,6 +21,9 @@ ci_stage batch
 
 echo "== batch fuzz: 120 iterations, seed 7, 64 lanes vs interpreted references"
 cargo run -p mtl-bench --release --bin fuzz -- --batch --iters 120 --seed 7
+
+echo "== batch fuzz, wide shape: 100 iterations, seed 7, widths up to 128 bits"
+cargo run -p mtl-bench --release --bin fuzz -- --batch --wide --iters 100 --seed 7
 
 echo "== batch throughput smoke: batch bundle must not lose to scalar run_diff"
 rm -f target/sweep-journal/ci_batch_smoke.jsonl

@@ -10,7 +10,7 @@
 //! with shrinking and reproducer emission; these tests pin specific
 //! seeds and edge-case designs as regressions.
 
-use rustmtl::check::RandomRtl;
+use rustmtl::check::{RandomRtl, RtlDesc, RtlShape};
 use rustmtl::core::{Component, Ctx, Expr};
 use rustmtl::prelude::*;
 use rustmtl::sim::{Engine, Sim};
@@ -29,11 +29,21 @@ impl Rng {
 }
 
 fn run_equivalence(seed: u64, cycles: u64) {
+    run_shape_equivalence(seed, RtlShape::default(), cycles);
+}
+
+/// [`run_equivalence`] over the random design of `shape`; returns the
+/// four simulators for further inspection.
+fn run_shape_equivalence(seed: u64, shape: RtlShape, cycles: u64) -> Vec<Sim> {
     // Elaborate once per engine (native-free designs elaborate
     // identically; separate instances keep ownership simple).
+    let desc = RtlDesc::generate(seed, shape);
     let mut sims: Vec<Sim> = Engine::ALL
         .iter()
-        .map(|&e| Sim::build(&RandomRtl::new(seed), e).expect("random design must elaborate"))
+        .map(|&e| {
+            Sim::build(&RandomRtl::from_desc(desc.clone()), e)
+                .expect("random design must elaborate")
+        })
         .collect();
     let nsignals = sims[0].design().signals().len();
 
@@ -43,7 +53,7 @@ fn run_equivalence(seed: u64, cycles: u64) {
     let mut rng = Rng(seed ^ 0xABCD);
     for cycle in 0..cycles {
         // Drive identical random inputs.
-        for i in 0..3 {
+        for i in 0..desc.inputs.len() {
             let name = format!("in{i}");
             let w = {
                 let d = sims[0].design();
@@ -72,6 +82,7 @@ fn run_equivalence(seed: u64, cycles: u64) {
             }
         }
     }
+    sims
 }
 
 #[test]
@@ -208,12 +219,205 @@ fn profiler_block_counts_agree_across_engines() {
     }
 }
 
+/// The wide random shape draws every width from 1..=128, so these designs
+/// carry nets past 64 bits and run the tape engines' `u128` register
+/// path, next to `u64` tapes wherever a width proof still holds.
 #[test]
 fn engines_agree_on_wide_widths() {
-    // Seeds chosen to exercise 64-128 bit paths more heavily via the
-    // random width draws.
     for seed in 100..=104 {
-        run_equivalence(seed, 25);
+        let sims = run_shape_equivalence(seed, RtlShape::wide(), 25);
+        let design = sims[0].design();
+        assert!(
+            design.nets().iter().any(|n| n.width > 64),
+            "seed {seed}: the wide shape drew no net over 64 bits"
+        );
+        for sim in &sims[2..] {
+            let rep = sim.opt_report().expect("tape engines optimize by default");
+            assert!(rep.wide_tapes > 0, "seed {seed}: {} ran no u128 tape", sim.engine());
+        }
+    }
+}
+
+/// Every op class at the 64/65-bit boundary, against the `Bits`
+/// reference on all four engines. The tape engines run a design whose
+/// state fits in 64 bits on `u64` registers and the same design one bit
+/// wider on `u128`, so the two encodings must agree with `Bits` exactly
+/// where they part.
+///
+/// Each design has `W`-bit inputs `a`, `b` and an 8-bit shift amount:
+/// arithmetic, shifts, signed and unsigned compares and sign extension in
+/// comb logic; a comb wire assembled from two masked field writes; a
+/// `W`-bit register whose low byte alone is rewritten every cycle (a
+/// masked write that must keep the all-ones high bits from reset); and a
+/// 64-bit memory written at `b[1:0]` and read at `amt[1:0]`. With
+/// `wide_concat`, a comb block also slices `{a[7:0], b}` — wider than 64
+/// bits for either `W` — at `lo` = 63.
+#[test]
+fn boundary_widths_agree_with_bits_on_all_engines() {
+    struct Boundary {
+        w: u32,
+        wide_concat: bool,
+    }
+    const OUTS: [&str; 17] = [
+        "add", "sub", "mul", "neg", "not", "sll", "srl", "sra", "lt", "ge", "lt_s", "ge_s",
+        "sext_hi", "sext_lo", "fields", "reg", "mem_rd",
+    ];
+    impl Component for Boundary {
+        fn name(&self) -> String {
+            format!("Boundary_{}{}", self.w, if self.wide_concat { "_cat" } else { "" })
+        }
+        fn build(&self, c: &mut Ctx) {
+            let w = self.w;
+            let reset = c.reset();
+            let a = c.in_port("a", w);
+            let bb = c.in_port("b", w);
+            let amt = c.in_port("amt", 8);
+            let port = |c: &mut Ctx, name: &str, width: u32| c.out_port(name, width);
+            let outs: Vec<_> = OUTS
+                .iter()
+                .map(|&n| {
+                    let width = match n {
+                        "lt" | "ge" | "lt_s" | "ge_s" => 1,
+                        "mem_rd" => 64,
+                        _ => w,
+                    };
+                    port(c, n, width)
+                })
+                .collect();
+            let r = c.wire("r", w);
+            let m = c.mem("m", 4, 64);
+            c.comb("ops", |blk| {
+                let exprs = [
+                    a + bb,
+                    a - bb,
+                    a * bb,
+                    -a.ex(),
+                    !a.ex(),
+                    a.ex().sll(amt.ex()),
+                    a.ex().srl(amt.ex()),
+                    a.ex().sra(amt.ex()),
+                    a.ex().lt(bb.ex()),
+                    a.ex().ge(bb.ex()),
+                    a.ex().lt_s(bb.ex()),
+                    a.ex().ge_s(bb.ex()),
+                    a.ex().slice(0, w - 1).sext(w),
+                    a.ex().slice(0, 8).sext(w),
+                ];
+                for (out, e) in outs.iter().zip(exprs) {
+                    blk.assign(*out, e);
+                }
+                blk.assign_slice(outs[14], 0, 8, bb.ex().slice(0, 8));
+                blk.assign_slice(outs[14], 8, w, a.ex().slice(8, w));
+                blk.assign(outs[15], r.ex());
+                blk.assign(outs[16], m.read(amt.ex().slice(0, 2)));
+            });
+            let ones = Expr::k(w, u128::MAX);
+            c.seq("low_byte", |blk| {
+                blk.if_else(
+                    reset,
+                    |blk| blk.assign(r, ones.clone()),
+                    |blk| blk.assign_slice(r, 0, 8, a.ex().slice(0, 8)),
+                );
+            });
+            c.seq("mem_wr", |blk| {
+                blk.mem_write(m, bb.ex().slice(0, 2), a.ex().slice(0, 64));
+            });
+            if self.wide_concat {
+                let cat = c.out_port("cat", 8);
+                c.comb("cat", |blk| {
+                    let wide = Expr::concat(vec![a.ex().slice(0, 8), bb.ex()]);
+                    blk.assign(cat, wide.slice(63, 71));
+                });
+            }
+        }
+    }
+
+    for (w, wide_concat) in [(64, false), (64, true), (65, false), (65, true)] {
+        let top = Boundary { w, wide_concat };
+        let mut sims: Vec<Sim> =
+            Engine::ALL.iter().map(|&e| Sim::build(&top, e).expect("elaborates")).collect();
+
+        // Which register word each tape got. `Specialized` runs the three
+        // (four with the concat) block tapes; `SpecializedOpt` adds one
+        // fused comb and one fused seq tape.
+        for sim in &sims[2..] {
+            let rep = sim.opt_report().expect("tape engines optimize by default");
+            let fused = if sim.engine() == Engine::SpecializedOpt { 2 } else { 0 };
+            assert_eq!(rep.tapes, 3 + wide_concat as u64 + fused, "{}", top.name());
+            let want = match (w, wide_concat) {
+                // Everything fits in 64 bits: no u128 tape at all.
+                (64, false) => 0,
+                // Only the concat block, and the fused comb tape holding
+                // it, exceed 64 bits.
+                (64, true) => 1 + fused / 2,
+                // Every block touches a 65-bit net.
+                _ => rep.tapes,
+            };
+            assert_eq!(rep.wide_tapes, want, "{} on {}: u128 tapes", top.name(), sim.engine());
+        }
+
+        for sim in &mut sims {
+            sim.reset();
+        }
+        let bw = |v: u128| b(w, v);
+        let ones = Bits::ones(w);
+        let top_bit = bw(1 << (w - 1));
+        let mut reg = ones;
+        let mut mem = [Bits::zero(64); 4];
+        let operands = [
+            (ones, bw(1)),
+            (top_bit, ones),
+            (bw(0x8123_4567_89AB_CDEF_u128 | 1 << (w - 1)), top_bit | bw(5)),
+            (bw(5), bw(7)),
+        ];
+        for amt in [0u32, 63, 64, 65, 255] {
+            for &(a, bv) in &operands {
+                for sim in &mut sims {
+                    sim.poke_port("a", a);
+                    sim.poke_port("b", bv);
+                    sim.poke_port("amt", b(8, amt as u128));
+                    sim.eval();
+                }
+                let mut expect = vec![
+                    ("add", a + bv),
+                    ("sub", a - bv),
+                    ("mul", a * bv),
+                    ("neg", -a),
+                    ("not", !a),
+                    ("sll", a << amt),
+                    ("srl", a >> amt),
+                    ("sra", a.shr_signed(amt)),
+                    ("lt", Bits::from_bool(a.as_u128() < bv.as_u128())),
+                    ("ge", Bits::from_bool(a.as_u128() >= bv.as_u128())),
+                    ("lt_s", Bits::from_bool(a.lt_signed(bv))),
+                    ("ge_s", Bits::from_bool(a.ge_signed(bv))),
+                    ("sext_hi", a.slice(0, w - 1).sext(w)),
+                    ("sext_lo", a.slice(0, 8).sext(w)),
+                    ("fields", a.with_slice(0, 8, bv.slice(0, 8))),
+                    ("reg", reg),
+                    ("mem_rd", mem[(amt & 3) as usize]),
+                ];
+                if wide_concat {
+                    expect.push(("cat", a.slice(0, 8).concat(bv).slice(63, 71)));
+                }
+                for sim in &sims {
+                    for (port, want) in &expect {
+                        assert_eq!(
+                            sim.peek_port(port),
+                            *want,
+                            "{} on {}: `{port}` for a={a:#x} b={bv:#x} amt={amt}",
+                            top.name(),
+                            sim.engine()
+                        );
+                    }
+                }
+                for sim in &mut sims {
+                    sim.cycle();
+                }
+                reg = reg.with_slice(0, 8, a.slice(0, 8));
+                mem[(bv.as_u128() & 3) as usize] = a.slice(0, 64);
+            }
+        }
     }
 }
 
