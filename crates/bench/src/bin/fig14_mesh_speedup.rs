@@ -287,10 +287,8 @@ fn main() {
             let harness = mesh_harness(level, NROUTERS, INJECTION);
             let sim =
                 mtl_sim::Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
-            match sim.opt_report() {
-                Some(rep) => println!("\n[{level} mesh tape-optimizer passes]\n{}", rep.render()),
-                None => println!("\n[{level}] optimizer disabled via MTL_TAPE_OPT; no report"),
-            }
+            let rep = sim.opt_report().expect("the optimizer is on by default");
+            println!("\n[{level} mesh tape-optimizer passes]\n{}", rep.render());
         }
     }
     if let Some(socket) = mtl_bench::arg_value("--serve") {

@@ -111,10 +111,8 @@ fn main() -> ExitCode {
     if has_flag("--dump-passes") {
         let harness = mesh_harness(NetLevel::Rtl, NROUTERS, INJECTION);
         let sim = Sim::build(&harness, Engine::SpecializedOpt).expect("elaboration failed");
-        match sim.opt_report() {
-            Some(rep) => println!("\n{}", rep.render()),
-            None => println!("\n(optimizer disabled via MTL_TAPE_OPT; no pass report)"),
-        }
+        let rep = sim.opt_report().expect("the optimizer is on by default");
+        println!("\n{}", rep.render());
     }
 
     let mut campaign = Campaign::new("opt");

@@ -12,14 +12,18 @@
 //! * full 64-lane bundles on randomized RTL,
 //! * the unoptimized-tape lowering (`tape_opt: Some(false)`),
 //! * [`Sim::divergence_masks`] flagging exactly the diverged lanes,
-//! * per-lane fault injection versus a scalar faulted run.
+//! * per-lane fault injection versus a scalar faulted run,
+//! * broadcast [`Sim::inject`] under per-lane stimulus, with `eval()`
+//!   inside the fault window and `run(n)` against `n` × `cycle()`,
+//! * the fault counters: per-lane totals equal the scalar run's, and a
+//!   lane hit by two faults in one cycle counts one faulted cycle.
 
 use mtl_bench::design_registry;
 use mtl_bits::Bits;
 use mtl_check::RandomRtl;
 use mtl_core::{BlockBody, SignalId, SignalKind};
 use mtl_fault::{FaultPlan, PlanSpec};
-use mtl_sim::{Engine, Sim, SimConfig};
+use mtl_sim::{Engine, Injection, Sim, SimConfig};
 
 /// xorshift64* — deterministic, dependency-free stimulus.
 struct Rng(u64);
@@ -280,5 +284,133 @@ fn injected_lane_matches_scalar_faulted_run() {
         let (bits, cycs) = batch.lane_fault_totals(FAULTY);
         assert!(bits > 0 && cycs > 0, "seed {seed}: lane {FAULTY} recorded no injections");
         assert_eq!(batch.lane_fault_totals(0), (0, 0), "seed {seed}: golden lane saw faults");
+    }
+}
+
+/// Asserts every signal of every batch lane equals that lane's scalar
+/// twin.
+fn assert_all_lanes(what: &str, batch: &Sim, scalars: &[Sim]) {
+    for (lane, s) in scalars.iter().enumerate() {
+        for si in 0..batch.design().signals().len() {
+            let sig = SignalId::from_index(si);
+            assert_eq!(
+                batch.peek_lane(lane as u32, sig),
+                s.peek(sig),
+                "{what}: lane {lane} signal `{}`",
+                batch.design().signal_path(sig)
+            );
+        }
+    }
+}
+
+/// A broadcast [`Sim::inject`] on a batch simulator installs the fault
+/// on every lane: under per-lane stimulus each lane matches a scalar
+/// faulted run fed that lane's stimulus, on every signal and every
+/// cycle — including an `eval()` settle inside the fault window and
+/// multi-cycle `run(n)` steps against `n` scalar `cycle()` calls — and
+/// the fault counters match the scalar ones lane by lane.
+#[test]
+fn broadcast_inject_matches_scalar_faulted_runs() {
+    const LANES: u32 = 4;
+    for seed in [3u64, 6, 9] {
+        let comp = RandomRtl::new(seed);
+        let cfg = SimConfig { lanes: Some(LANES), ..SimConfig::default() };
+        let mut batch =
+            Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg).expect("elaborates");
+        let mut scalars: Vec<Sim> = (0..LANES)
+            .map(|_| Sim::build(&comp, Engine::SpecializedOpt).expect("elaborates"))
+            .collect();
+        let plan = FaultPlan::random(seed ^ 0xB0AD, batch.design(), &PlanSpec::new(4, 2, 10));
+        let mut injections = plan.to_injections(batch.design()).expect("plan resolves");
+        // Reset leaves the cycle count at 2, so step 0's `eval()` runs
+        // inside this fault's window.
+        injections[0].cycle = 2;
+        for inj in injections {
+            batch.inject(inj);
+            for s in scalars.iter_mut() {
+                s.inject(inj);
+            }
+        }
+        batch.reset();
+        for s in scalars.iter_mut() {
+            s.reset();
+        }
+        let inputs = input_ports(&batch);
+        let mut rng = Rng(seed.wrapping_mul(0x5DEE_CE66) | 1);
+        assert_eq!(batch.cycle_count(), 2, "reset clocks two cycles");
+        for step in 0..10u64 {
+            for &(sig, w) in &inputs {
+                for lane in 0..LANES {
+                    let v = rng.bits(w);
+                    batch.poke_lane(lane, sig, v);
+                    scalars[lane as usize].poke(sig, v);
+                }
+            }
+            let what = format!("seed {seed} step {step}");
+            if step % 2 == 0 {
+                batch.eval();
+                for s in scalars.iter_mut() {
+                    s.eval();
+                }
+                assert_all_lanes(&format!("{what} eval"), &batch, &scalars);
+            }
+            // Every third step clocks three cycles through one `run`.
+            let n = if step % 3 == 1 { 3 } else { 1 };
+            if n == 1 {
+                batch.cycle();
+            } else {
+                batch.run(n);
+            }
+            for s in scalars.iter_mut() {
+                for _ in 0..n {
+                    s.cycle();
+                }
+            }
+            assert_eq!(batch.cycle_count(), scalars[0].cycle_count(), "{what}: cycle count");
+            assert_all_lanes(&what, &batch, &scalars);
+        }
+        assert!(scalars[0].faulted_cycle_count() > 0, "seed {seed}: no fault fired");
+        assert_eq!(batch.injected_bits(), scalars[0].injected_bits(), "seed {seed}");
+        assert_eq!(batch.faulted_cycle_count(), scalars[0].faulted_cycle_count(), "seed {seed}");
+        for (lane, s) in scalars.iter().enumerate() {
+            assert_eq!(
+                batch.lane_fault_totals(lane as u32),
+                (s.injected_bits(), s.faulted_cycle_count()),
+                "seed {seed}: lane {lane} fault totals"
+            );
+        }
+    }
+}
+
+/// Two faults active on one lane in the same cycle add both masks to the
+/// lane's injected bits but count one faulted cycle, on the batch lane
+/// and on the scalar engine alike; other lanes count nothing.
+#[test]
+fn two_faults_in_one_cycle_count_one_faulted_cycle() {
+    const LANES: u32 = 3;
+    const LANE: u32 = 1;
+    let comp = RandomRtl::new(5);
+    let cfg = SimConfig { lanes: Some(LANES), ..SimConfig::default() };
+    let mut batch =
+        Sim::build_with_config(&comp, Engine::SpecializedBatch, &cfg).expect("elaborates");
+    let mut scalar = Sim::build(&comp, Engine::SpecializedOpt).expect("elaborates");
+    let plan = FaultPlan::random(0x7770, batch.design(), &PlanSpec::new(2, 4, 4));
+    let injections: Vec<Injection> = plan.to_injections(batch.design()).expect("plan resolves");
+    assert_eq!(injections.len(), 2);
+    let mut bits = 0;
+    for inj in injections {
+        let inj = Injection { cycle: 4, duration: 1, ..inj };
+        bits += inj.mask.count_ones() as u64;
+        batch.inject_lane(LANE, inj);
+        scalar.inject(inj);
+    }
+    batch.reset();
+    scalar.reset();
+    batch.run(8);
+    scalar.run(8);
+    assert_eq!(batch.lane_fault_totals(LANE), (bits, 1));
+    assert_eq!((scalar.injected_bits(), scalar.faulted_cycle_count()), (bits, 1));
+    for lane in (0..LANES).filter(|&l| l != LANE) {
+        assert_eq!(batch.lane_fault_totals(lane), (0, 0), "lane {lane}");
     }
 }

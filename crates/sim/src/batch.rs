@@ -22,10 +22,12 @@
 //! the scalar semantics, so lane-exactness holds unconditionally. Plane
 //! lowering reads every tape in its `u128` encoding.
 //!
-//! Per-lane faults replicate the `Sim` wrapper's forced-settle protocol
-//! (peek → disturb → force → per-block levelized re-settle with re-force)
-//! inside the backend, per lane, so a faulty lane's trace is byte-identical
-//! to a scalar engine running the same injection.
+//! The engine holds no fault state. The `Sim` wrapper runs its one
+//! forced-settle protocol (peek → disturb → force → per-block levelized
+//! re-settle with re-force) on every lane through the lane primitives —
+//! `peek_lane`, a per-lane `force`, and the per-block programs — so a
+//! faulty lane's trace is byte-identical to a scalar engine running the
+//! same injection.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,8 +38,8 @@ use mtl_core::Design;
 use crate::overheads::Overheads;
 use crate::passes::OptReport;
 use crate::profile::EngineStats;
-use crate::sim::{mask_of, Chunk, EngineImpl, FaultState};
-use crate::tape::{sext_masks, ExecTape, Op, Regs, Tape, TapeMems};
+use crate::sim::{Chunk, EngineImpl};
+use crate::tape::{mask_of, sext_masks, ExecTape, Op, Regs, Tape, TapeMems};
 
 /// Lane capacity of the plane state: one bit per lane in a `u64` word.
 /// Storage is always this wide; [`crate::SimConfig::lanes`] only restricts
@@ -294,8 +296,8 @@ pub(crate) enum BatchProg {
 
 /// The shareable compile output of batch lowering: plane programs for the
 /// fused comb/seq plans plus one per design block (the per-block programs
-/// drive the levelized forced-settle fault path). Pure data, cached via
-/// [`crate::ArtifactCache`].
+/// drive the wrapper's levelized forced-settle fault path). Pure data,
+/// cached via [`crate::ArtifactCache`].
 #[derive(Debug)]
 pub(crate) struct BatchProgs {
     pub(crate) comb: Vec<BatchProg>,
@@ -987,9 +989,10 @@ impl TapeMems for LaneMems<'_> {
     }
 }
 
-/// The bit-sliced batch backend; see the module docs.
-pub(crate) struct BatchEngine {
-    design: Arc<Design>,
+/// The per-instance state plane programs run against. Kept apart from
+/// the shared [`BatchProgs`] so running a program borrows the two
+/// disjointly, without cloning the `Arc` per call.
+struct PlaneState {
     widths: Vec<u32>,
     /// Plane offset of each net in `cur`/`next` (prefix sums of widths).
     net_off: Vec<u32>,
@@ -1001,12 +1004,7 @@ pub(crate) struct BatchEngine {
     mems: Vec<Vec<u128>>,
     /// Deferred memory writes, per lane (committed at the clock edge).
     pending: Vec<Vec<(u32, u64, u128)>>,
-    progs: Arc<BatchProgs>,
-    /// Levelized per-block order for the forced-settle fault path (the
-    /// same order the `Sim` wrapper's scalar injection walk uses).
-    comb_order: Vec<u32>,
-    reg_slots: Vec<u32>,
-    /// Shared scratch arena for plane programs.
+    /// Shared scratch arena for plane programs (sized by `assemble`).
     arena: Vec<u64>,
     sel_scratch: Vec<u64>,
     /// Per-lane fallback scratch (slot-indexed scalar state).
@@ -1015,88 +1013,11 @@ pub(crate) struct BatchEngine {
     scratch_regs: Regs,
     lane_pending: Vec<(u32, u64, u128)>,
     changed_scratch: Vec<u32>,
-    lanes: u32,
-    cycles: u64,
-    dirty: bool,
-    fault_cleanup: bool,
-    /// Installed per-lane faults: `(lane, fault)`.
-    faults: Vec<(u32, FaultState)>,
-    lane_injected: Vec<u64>,
-    lane_faulted: Vec<u64>,
-    track_activity: bool,
-    activity: Vec<u64>,
-    prof: Option<EngineStats>,
-    optimized: bool,
-    opt_report: Option<OptReport>,
 }
 
-impl BatchEngine {
-    /// Lowers a fused tape artifact to plane programs and builds the
-    /// engine. Lowering is charged to `cgen` (it is code generation over
-    /// the already-optimized tapes).
-    pub(crate) fn lower(
-        design: Arc<Design>,
-        artifact: &crate::artifact::TapeArtifact,
-        lanes: u32,
-        o: &mut Overheads,
-    ) -> Self {
-        let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
-        let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
-        let mut net_off = vec![0u32; widths.len()];
-        let mut total = 0u32;
-        for (i, w) in widths.iter().enumerate() {
-            net_off[i] = total;
-            total += w;
-        }
-
-        let t0 = Instant::now();
-        let lower_chunk = |c: &Chunk| match c {
-            Chunk::Fused(t) => lower_tape(t, &net_off, &widths, &mem_widths),
-            Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
-        };
-        let comb: Vec<BatchProg> = artifact.comb_plan.iter().map(lower_chunk).collect();
-        let seq: Vec<BatchProg> = artifact.seq_plan.iter().map(lower_chunk).collect();
-        let blocks: Vec<BatchProg> =
-            artifact.tapes.iter().map(|t| lower_tape(t, &net_off, &widths, &mem_widths)).collect();
-        let mut arena_planes = 0u32;
-        for prog in comb.iter().chain(&seq).chain(&blocks) {
-            if let BatchProg::Planes { arena, .. } = prog {
-                arena_planes = arena_planes.max(*arena);
-            }
-        }
-        o.cgen += t0.elapsed();
-
-        let progs = Arc::new(BatchProgs { comb, seq, blocks, arena_planes });
-        Self::assemble(design, progs, artifact.optimized, artifact.report.clone(), lanes, o)
-    }
-
-    /// Rebuilds an engine from a cached [`crate::artifact::BatchArtifact`]
-    /// — no lowering, only per-instance plane state.
-    pub(crate) fn from_artifact(
-        design: Arc<Design>,
-        artifact: Arc<crate::artifact::BatchArtifact>,
-        lanes: u32,
-        o: &mut Overheads,
-    ) -> Self {
-        Self::assemble(
-            design,
-            artifact.progs.clone(),
-            artifact.optimized,
-            artifact.report.clone(),
-            lanes,
-            o,
-        )
-    }
-
-    fn assemble(
-        design: Arc<Design>,
-        progs: Arc<BatchProgs>,
-        optimized: bool,
-        opt_report: Option<OptReport>,
-        lanes: u32,
-        o: &mut Overheads,
-    ) -> Self {
-        // Phase: wrap (plane state allocation).
+impl PlaneState {
+    /// Zeroed plane state for `design`, charged to `wrap`.
+    fn new(design: &Design, o: &mut Overheads) -> Self {
         let t0 = Instant::now();
         let widths: Vec<u32> = design.nets().iter().map(|n| n.width).collect();
         let mem_widths: Vec<u32> = design.mems().iter().map(|m| m.width).collect();
@@ -1106,76 +1027,32 @@ impl BatchEngine {
             net_off[i] = total;
             total += w;
         }
-        let cur = vec![0u64; total as usize];
-        let next = vec![0u64; total as usize];
-        let mems: Vec<Vec<u128>> =
-            design.mems().iter().map(|m| vec![0u128; m.words as usize * LANES as usize]).collect();
         let nets = widths.len();
-        o.wrap += t0.elapsed();
-
-        // Phase: simc (schedule structures).
-        let t0 = Instant::now();
-        let comb_order: Vec<u32> = design
-            .comb_schedule()
-            .expect("design validated at elaboration")
-            .iter()
-            .map(|b| b.index() as u32)
-            .collect();
-        let reg_slots: Vec<u32> = design
-            .nets()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_register)
-            .map(|(i, _)| i as u32)
-            .collect();
-        o.simc += t0.elapsed();
-
-        let arena = vec![0u64; progs.arena_planes as usize];
-        Self {
-            design,
+        let st = Self {
             widths,
             net_off,
             mem_widths,
-            cur,
-            next,
-            mems,
+            cur: vec![0u64; total as usize],
+            next: vec![0u64; total as usize],
+            mems: design
+                .mems()
+                .iter()
+                .map(|m| vec![0u128; m.words as usize * LANES as usize])
+                .collect(),
             pending: (0..LANES).map(|_| Vec::new()).collect(),
-            progs,
-            comb_order,
-            reg_slots,
-            arena,
+            arena: Vec::new(),
             sel_scratch: Vec::new(),
             scratch_cur: vec![0u128; nets],
             scratch_next: vec![0u128; nets],
             scratch_regs: Regs::default(),
             lane_pending: Vec::new(),
             changed_scratch: Vec::new(),
-            lanes: lanes.clamp(1, LANES),
-            cycles: 0,
-            dirty: true,
-            fault_cleanup: false,
-            faults: Vec::new(),
-            lane_injected: vec![0; LANES as usize],
-            lane_faulted: vec![0; LANES as usize],
-            track_activity: false,
-            activity: Vec::new(),
-            prof: None,
-            optimized,
-            opt_report,
-        }
+        };
+        o.wrap += t0.elapsed();
+        st
     }
 
-    /// Snapshots the shareable lowering output for [`crate::ArtifactCache`].
-    pub(crate) fn artifact(&self) -> crate::artifact::BatchArtifact {
-        crate::artifact::BatchArtifact {
-            progs: self.progs.clone(),
-            shape: crate::artifact::shape_of(&self.design),
-            optimized: self.optimized,
-            report: self.opt_report.clone(),
-        }
-    }
-
-    fn run_prog(&mut self, prog: &BatchProg) {
+    fn run(&mut self, prog: &BatchProg) {
         match prog {
             BatchProg::Planes { ops, .. } => exec_planes(
                 ops,
@@ -1241,142 +1118,136 @@ impl BatchEngine {
         }
     }
 
+    fn gather_cur(&self, slot: u32, lane: u32) -> u128 {
+        gather(&self.cur, self.net_off[slot as usize], self.widths[slot as usize], lane as usize)
+    }
+}
+
+/// The bit-sliced batch backend; see the module docs.
+pub(crate) struct BatchEngine {
+    design: Arc<Design>,
+    st: PlaneState,
+    progs: Arc<BatchProgs>,
+    reg_slots: Vec<u32>,
+    lanes: u32,
+    cycles: u64,
+    dirty: bool,
+    track_activity: bool,
+    activity: Vec<u64>,
+    prof: Option<EngineStats>,
+    optimized: bool,
+    opt_report: Option<OptReport>,
+}
+
+impl BatchEngine {
+    /// Lowers a fused tape artifact to plane programs and builds the
+    /// engine. Lowering is charged to `cgen` (it is code generation over
+    /// the already-optimized tapes).
+    pub(crate) fn lower(
+        design: Arc<Design>,
+        artifact: &crate::artifact::TapeArtifact,
+        lanes: u32,
+        o: &mut Overheads,
+    ) -> Self {
+        let st = PlaneState::new(&design, o);
+        let t0 = Instant::now();
+        let lower = |t: &ExecTape| lower_tape(t, &st.net_off, &st.widths, &st.mem_widths);
+        let lower_chunk = |c: &Chunk| match c {
+            Chunk::Fused(t) => lower(t),
+            Chunk::Native(_) => unreachable!("batch engine rejects native blocks"),
+        };
+        let comb: Vec<BatchProg> = artifact.comb_plan.iter().map(lower_chunk).collect();
+        let seq: Vec<BatchProg> = artifact.seq_plan.iter().map(lower_chunk).collect();
+        let blocks: Vec<BatchProg> = artifact.tapes.iter().map(lower).collect();
+        let mut arena_planes = 0u32;
+        for prog in comb.iter().chain(&seq).chain(&blocks) {
+            if let BatchProg::Planes { arena, .. } = prog {
+                arena_planes = arena_planes.max(*arena);
+            }
+        }
+        o.cgen += t0.elapsed();
+
+        let progs = Arc::new(BatchProgs { comb, seq, blocks, arena_planes });
+        Self::assemble(design, st, progs, artifact.optimized, artifact.report.clone(), lanes, o)
+    }
+
+    /// Rebuilds an engine from a cached [`crate::artifact::BatchArtifact`]
+    /// — no lowering, only per-instance plane state.
+    pub(crate) fn from_artifact(
+        design: Arc<Design>,
+        artifact: Arc<crate::artifact::BatchArtifact>,
+        lanes: u32,
+        o: &mut Overheads,
+    ) -> Self {
+        let st = PlaneState::new(&design, o);
+        Self::assemble(
+            design,
+            st,
+            artifact.progs.clone(),
+            artifact.optimized,
+            artifact.report.clone(),
+            lanes,
+            o,
+        )
+    }
+
+    fn assemble(
+        design: Arc<Design>,
+        mut st: PlaneState,
+        progs: Arc<BatchProgs>,
+        optimized: bool,
+        opt_report: Option<OptReport>,
+        lanes: u32,
+        o: &mut Overheads,
+    ) -> Self {
+        // Phase: simc (schedule structures).
+        let t0 = Instant::now();
+        let reg_slots: Vec<u32> = design
+            .nets()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.is_register)
+            .map(|(i, _)| i as u32)
+            .collect();
+        o.simc += t0.elapsed();
+
+        st.arena = vec![0u64; progs.arena_planes as usize];
+        Self {
+            design,
+            st,
+            progs,
+            reg_slots,
+            lanes: lanes.clamp(1, LANES),
+            cycles: 0,
+            dirty: true,
+            track_activity: false,
+            activity: Vec::new(),
+            prof: None,
+            optimized,
+            opt_report,
+        }
+    }
+
+    /// Snapshots the shareable lowering output for [`crate::ArtifactCache`].
+    pub(crate) fn artifact(&self) -> crate::artifact::BatchArtifact {
+        crate::artifact::BatchArtifact {
+            progs: self.progs.clone(),
+            shape: crate::artifact::shape_of(&self.design),
+            optimized: self.optimized,
+            report: self.opt_report.clone(),
+        }
+    }
+
     /// One unconditional pass over the fused combinational programs
     /// (the plane analog of the scalar static engine's full pass).
     fn full_pass(&mut self) {
-        let progs = self.progs.clone();
-        for prog in &progs.comb {
-            self.run_prog(prog);
+        for prog in &self.progs.comb {
+            self.st.run(prog);
         }
         self.dirty = false;
         if let Some(p) = self.prof.as_mut() {
             p.settles += 1;
         }
-    }
-
-    /// Clock-edge half of a cycle: sequential programs, register plane
-    /// commit, per-lane memory commit.
-    fn edge_impl(&mut self) {
-        let progs = self.progs.clone();
-        for prog in &progs.seq {
-            self.run_prog(prog);
-        }
-        for i in 0..self.reg_slots.len() {
-            let slot = self.reg_slots[i] as usize;
-            let off = self.net_off[slot] as usize;
-            for p in 0..self.widths[slot] as usize {
-                let c = self.cur[off + p];
-                let n = self.next[off + p];
-                if self.track_activity {
-                    // Lane-0 toggles, matching the scalar engines'
-                    // activity counter on the golden lane.
-                    self.activity[slot] += (c ^ n) & 1;
-                }
-                self.cur[off + p] = n;
-            }
-        }
-        for lane in 0..LANES as usize {
-            if self.pending[lane].is_empty() {
-                continue;
-            }
-            let mut pend = std::mem::take(&mut self.pending[lane]);
-            for &(mem, addr, v) in &pend {
-                self.mems[mem as usize][addr as usize * LANES as usize + lane] = v;
-            }
-            pend.clear();
-            self.pending[lane] = pend;
-        }
-    }
-
-    fn plain_cycle(&mut self) {
-        if self.dirty {
-            self.full_pass();
-        }
-        self.edge_impl();
-        self.full_pass();
-        self.cycles += 1;
-    }
-
-    fn gather_cur(&self, slot: u32, lane: u32) -> u128 {
-        gather(&self.cur, self.net_off[slot as usize], self.widths[slot as usize], lane as usize)
-    }
-
-    fn force_lane_bits(&mut self, lane: u32, slot: u32, v: u128, also_next: bool) {
-        let s = slot as usize;
-        scatter(&mut self.cur, self.net_off[s], self.widths[s], lane as usize, v);
-        if also_next {
-            scatter(&mut self.next, self.net_off[s], self.widths[s], lane as usize, v);
-        }
-    }
-
-    /// Indices into `faults` of the faults active at `now` (post-edge
-    /// window when `post`).
-    fn active_pairs(&self, now: u64, post: bool) -> Vec<usize> {
-        self.faults
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, f))| if post { f.active_post(now) } else { f.active_pre(now) })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The `Sim` wrapper's forced settle, per lane: disturb and force
-    /// each faulted lane, then run the per-block levelized order,
-    /// re-forcing any fault whose driver overwrote it. Executing per
-    /// block (not the fused program) keeps the re-force points identical
-    /// to the scalar wrapper's walk, which is what makes faulty lanes
-    /// byte-identical to scalar faulty traces.
-    fn forced_settle_lanes(&mut self, active: &[usize]) {
-        let mut forced: Vec<u128> = Vec::with_capacity(active.len());
-        for &i in active {
-            let (lane, f) = self.faults[i];
-            let v = self.gather_cur(f.slot, lane);
-            let t = f.apply(v, mask_of(f.width));
-            self.force_lane_bits(lane, f.slot, t, f.is_reg);
-            forced.push(t);
-        }
-        let progs = self.progs.clone();
-        let order = std::mem::take(&mut self.comb_order);
-        for &b in &order {
-            self.run_prog(&progs.blocks[b as usize]);
-            for (k, &i) in active.iter().enumerate() {
-                let (lane, f) = self.faults[i];
-                let v = self.gather_cur(f.slot, lane);
-                if v != forced[k] {
-                    let t = f.apply(v, mask_of(f.width));
-                    self.force_lane_bits(lane, f.slot, t, f.is_reg);
-                    forced[k] = t;
-                }
-            }
-        }
-        self.comb_order = order;
-        self.dirty = false;
-    }
-
-    /// One faulted cycle, mirroring the wrapper's sequencing exactly:
-    /// forced settle, counters, edge, post-edge settle (forced for
-    /// stuck-at faults, full clean wash otherwise), cycle bump.
-    fn faulted_cycle(&mut self, now: u64, pre: &[usize]) {
-        self.forced_settle_lanes(pre);
-        let mut lanes_hit = 0u64;
-        for &i in pre {
-            let (lane, f) = self.faults[i];
-            self.lane_injected[lane as usize] += f.mask.count_ones() as u64;
-            lanes_hit |= 1u64 << lane;
-        }
-        for lane in 0..LANES as usize {
-            self.lane_faulted[lane] += (lanes_hit >> lane) & 1;
-        }
-        self.edge_impl();
-        let post = self.active_pairs(now, true);
-        if post.is_empty() {
-            self.full_pass();
-            self.fault_cleanup = false;
-        } else {
-            self.forced_settle_lanes(&post);
-            self.fault_cleanup = true;
-        }
-        self.cycles += 1;
     }
 }
 
@@ -1391,12 +1262,12 @@ impl EngineImpl for BatchEngine {
         // scalar tape engine's poke.
         let val = v.as_u128();
         let s = slot as usize;
-        let off = self.net_off[s] as usize;
-        let w = self.widths[s];
+        let off = self.st.net_off[s] as usize;
+        let w = self.st.widths[s];
         let mut changed = false;
         for p in 0..w {
             let want = mb(val, p);
-            if self.cur[off + p as usize] != want {
+            if self.st.cur[off + p as usize] != want {
                 changed = true;
                 break;
             }
@@ -1404,73 +1275,71 @@ impl EngineImpl for BatchEngine {
         if changed {
             for p in 0..w {
                 let want = mb(val, p);
-                self.cur[off + p as usize] = want;
-                self.next[off + p as usize] = want;
+                self.st.cur[off + p as usize] = want;
+                self.st.next[off + p as usize] = want;
             }
             self.dirty = true;
         }
     }
 
     fn peek(&self, slot: u32) -> Bits {
-        Bits::new(self.widths[slot as usize], self.gather_cur(slot, 0))
+        Bits::new(self.st.widths[slot as usize], self.st.gather_cur(slot, 0))
     }
 
     fn eval(&mut self) {
-        if self.faults.is_empty() && !self.fault_cleanup {
-            if self.dirty {
-                self.full_pass();
-            }
-            return;
-        }
-        let now = self.cycles;
-        let pre = self.active_pairs(now, false);
-        if !pre.is_empty() {
-            self.forced_settle_lanes(&pre);
-        } else if self.fault_cleanup {
-            self.full_pass();
-            self.fault_cleanup = false;
-        } else if self.dirty {
+        if self.dirty {
             self.full_pass();
         }
     }
 
     fn cycle(&mut self) {
-        if self.faults.is_empty() && !self.fault_cleanup {
-            self.plain_cycle();
-            return;
-        }
-        let now = self.cycles;
-        let pre = self.active_pairs(now, false);
-        if pre.is_empty() {
-            if self.fault_cleanup {
-                self.full_pass();
-                self.fault_cleanup = false;
-            }
-            self.plain_cycle();
-        } else {
-            self.faulted_cycle(now, &pre);
-        }
+        self.eval();
+        self.edge();
+        self.full_pass();
+        self.cycles += 1;
     }
 
+    /// Clock-edge half of a cycle: sequential programs, register plane
+    /// commit, per-lane memory commit.
     fn edge(&mut self) {
-        self.edge_impl();
+        for prog in &self.progs.seq {
+            self.st.run(prog);
+        }
+        let st = &mut self.st;
+        for &slot in &self.reg_slots {
+            let slot = slot as usize;
+            let off = st.net_off[slot] as usize;
+            for p in off..off + st.widths[slot] as usize {
+                if self.track_activity {
+                    // Lane-0 toggles, matching the scalar engines'
+                    // activity counter on the golden lane.
+                    self.activity[slot] += (st.cur[p] ^ st.next[p]) & 1;
+                }
+                st.cur[p] = st.next[p];
+            }
+        }
+        for (lane, pend) in st.pending.iter_mut().enumerate() {
+            for &(mem, addr, v) in pend.iter() {
+                st.mems[mem as usize][addr as usize * LANES as usize + lane] = v;
+            }
+            pend.clear();
+        }
     }
 
     fn exec_block(&mut self, b: u32) {
-        let progs = self.progs.clone();
-        self.run_prog(&progs.blocks[b as usize]);
+        self.st.run(&self.progs.blocks[b as usize]);
+        // Only the wrapper's forced settle runs single blocks, and it
+        // walks the whole levelized schedule: like a full pass, it
+        // leaves the planes settled.
+        self.dirty = false;
     }
 
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
-        let val = v.as_u128();
-        let s = slot as usize;
-        let off = self.net_off[s] as usize;
-        for p in 0..self.widths[s] {
-            let want = mb(val, p);
-            self.cur[off + p as usize] = want;
-            if also_next {
-                self.next[off + p as usize] = want;
-            }
+    fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool) {
+        let st = &mut self.st;
+        let (off, w) = (st.net_off[slot as usize], st.widths[slot as usize]);
+        scatter(&mut st.cur, off, w, lane as usize, v.as_u128());
+        if also_next {
+            scatter(&mut st.next, off, w, lane as usize, v.as_u128());
         }
     }
 
@@ -1487,22 +1356,20 @@ impl EngineImpl for BatchEngine {
     }
 
     fn peek_mem(&self, mem: usize, addr: u64) -> Bits {
-        Bits::new(self.mem_widths[mem], self.mems[mem][addr as usize * LANES as usize])
+        Bits::new(self.st.mem_widths[mem], self.st.mems[mem][addr as usize * LANES as usize])
     }
 
     fn poke_mem(&mut self, mem: usize, addr: u64, v: Bits) {
-        let val = v.as_u128() & mask_of(self.mem_widths[mem]);
+        let val = v.as_u128() & mask_of(self.st.mem_widths[mem]);
         let base = addr as usize * LANES as usize;
-        for lane in 0..LANES as usize {
-            self.mems[mem][base + lane] = val;
-        }
+        self.st.mems[mem][base..base + LANES as usize].fill(val);
         self.dirty = true;
     }
 
     fn set_activity(&mut self, on: bool) {
         self.track_activity = on;
         if on && self.activity.is_empty() {
-            self.activity = vec![0; self.widths.len()];
+            self.activity = vec![0; self.st.widths.len()];
         }
     }
 
@@ -1530,17 +1397,19 @@ impl EngineImpl for BatchEngine {
         assert!(lane < self.lanes, "lane {lane} out of range ({} lanes)", self.lanes);
         let val = v.as_u128();
         let s = slot as usize;
-        let off = self.net_off[s];
-        let w = self.widths[s];
+        let off = self.st.net_off[s];
+        let w = self.st.widths[s];
         let m = 1u64 << lane;
         let mut changed = false;
         for p in 0..w {
             let bit = (((val >> p) & 1) as u64) << lane;
-            if self.cur[(off + p) as usize] & m != bit {
+            let (cur, next) =
+                (&mut self.st.cur[(off + p) as usize], &mut self.st.next[(off + p) as usize]);
+            if *cur & m != bit {
                 changed = true;
             }
-            self.cur[(off + p) as usize] = (self.cur[(off + p) as usize] & !m) | bit;
-            self.next[(off + p) as usize] = (self.next[(off + p) as usize] & !m) | bit;
+            *cur = (*cur & !m) | bit;
+            *next = (*next & !m) | bit;
         }
         if changed {
             self.dirty = true;
@@ -1549,25 +1418,20 @@ impl EngineImpl for BatchEngine {
 
     fn peek_lane(&self, lane: u32, slot: u32) -> Bits {
         assert!(lane < self.lanes, "lane {lane} out of range ({} lanes)", self.lanes);
-        Bits::new(self.widths[slot as usize], self.gather_cur(slot, lane))
-    }
-
-    fn inject_lane(&mut self, lane: u32, fault: FaultState) {
-        assert!(lane < self.lanes, "lane {lane} out of range ({} lanes)", self.lanes);
-        self.faults.push((lane, fault));
+        Bits::new(self.st.widths[slot as usize], self.st.gather_cur(slot, lane))
     }
 
     fn divergence_masks(&self, golden: u32, out: &mut Vec<u64>) -> bool {
         assert!(golden < self.lanes, "golden lane {golden} out of range ({} lanes)", self.lanes);
         let active: u64 = if self.lanes >= LANES { !0 } else { (1u64 << self.lanes) - 1 };
         out.clear();
-        out.reserve(self.widths.len());
+        out.reserve(self.st.widths.len());
         let mut any = 0u64;
-        for (slot, &w) in self.widths.iter().enumerate() {
-            let off = self.net_off[slot] as usize;
+        for (slot, &w) in self.st.widths.iter().enumerate() {
+            let off = self.st.net_off[slot] as usize;
             let mut acc = 0u64;
             for p in 0..w as usize {
-                let plane = self.cur[off + p];
+                let plane = self.st.cur[off + p];
                 let g = 0u64.wrapping_sub((plane >> golden) & 1);
                 acc |= plane ^ g;
             }
@@ -1576,9 +1440,5 @@ impl EngineImpl for BatchEngine {
             out.push(m);
         }
         any != 0
-    }
-
-    fn lane_fault_totals(&self, lane: u32) -> (u64, u64) {
-        (self.lane_injected[lane as usize], self.lane_faulted[lane as usize])
     }
 }

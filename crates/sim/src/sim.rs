@@ -15,7 +15,7 @@ use crate::interp::{exec_stmts, DenseSens, DenseStore, HashSens, HashStore, Sens
 use crate::overheads::Overheads;
 use crate::passes::{optimize, OptReport};
 use crate::profile::{EngineStats, SimProfile};
-use crate::tape::{compile_blocks, fuse, narrow, validate, ExecTape, Regs};
+use crate::tape::{compile_blocks, fuse, mask_of, narrow, validate, ExecTape, Regs};
 
 /// Simulation engine selection; see `DESIGN.md` for the mapping onto the
 /// paper's CPython / PyPy / SimJIT / SimJIT+PyPy regimes.
@@ -74,10 +74,8 @@ impl std::fmt::Display for Engine {
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     /// Whether the tape engines run the optimizer pass pipeline
-    /// ([`crate::passes`]) over compiled tapes. `None` defers to the
-    /// `MTL_TAPE_OPT` environment variable (`0`/`off`/`false`/`no`
-    /// disables), defaulting to enabled. The interpreters compile no
-    /// tapes and ignore it.
+    /// ([`crate::passes`]) over compiled tapes. `None` means on. The
+    /// interpreters compile no tapes and ignore it.
     pub tape_opt: Option<bool>,
     /// Active lane count for [`Engine::SpecializedBatch`], clamped to
     /// `1..=64`. `None` means all 64 lanes. State storage is always 64
@@ -88,27 +86,9 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Resolves [`SimConfig::tape_opt`] against the environment.
-    ///
-    /// `MTL_TAPE_OPT` is parsed case-insensitively (so `OFF` and `off`
-    /// both disable the optimizer) and an unrecognized value prints a
-    /// note and leaves the optimizer on — a typo never silently changes
-    /// semantics (the same rule as [`lint_gate`]).
+    /// Resolves [`SimConfig::tape_opt`] (`None` is on).
     pub fn tape_opt_enabled(&self) -> bool {
-        self.tape_opt.unwrap_or_else(|| match std::env::var("MTL_TAPE_OPT") {
-            Err(_) => true,
-            Ok(s) => match s.trim().to_ascii_lowercase().as_str() {
-                "0" | "off" | "false" | "no" => false,
-                "" | "1" | "on" | "true" | "yes" => true,
-                _ => {
-                    eprintln!(
-                        "mtl-sim: unrecognized MTL_TAPE_OPT={s} \
-                         (expected 0|off|false|no or 1|on|true|yes); optimizer on"
-                    );
-                    true
-                }
-            },
-        })
+        self.tape_opt.unwrap_or(true)
     }
 
     /// Resolves [`SimConfig::lanes`] to the active lane count (1..=64).
@@ -140,12 +120,13 @@ pub(crate) trait EngineImpl {
     /// Executes one block serially through the engine's native write
     /// path. Used by the wrapper's levelized injection settle.
     fn exec_block(&mut self, b: u32);
-    /// Overwrites a net's settled value without waking readers or
-    /// marking schedules dirty. With `also_next`, the shadow (`next`)
-    /// copy is overwritten too, so a forced register value survives the
-    /// commit unless a sequential block reassigns it (SEU semantics:
-    /// hold paths keep the flipped bit, update paths overwrite it).
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool);
+    /// Overwrites a net's settled value on one lane without waking
+    /// readers or marking schedules dirty (scalar engines have only lane
+    /// 0). With `also_next`, the shadow (`next`) copy is overwritten
+    /// too, so a forced register value survives the commit unless a
+    /// sequential block reassigns it (SEU semantics: hold paths keep the
+    /// flipped bit, update paths overwrite it).
+    fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool);
     /// Unconditionally re-evaluates every combinational block (full
     /// settle), washing out any forced values whose faults expired.
     fn settle_full(&mut self);
@@ -160,8 +141,7 @@ pub(crate) trait EngineImpl {
         None
     }
     // Lane (batch-engine) primitives. Scalar engines keep the defaults:
-    // a single lane aliasing the ordinary poke/peek path and no per-lane
-    // fault support.
+    // a single lane aliasing the ordinary poke/peek path.
     /// Active trial lanes this backend simulates (1 for scalar engines).
     fn lane_count(&self) -> u32 {
         1
@@ -176,23 +156,12 @@ pub(crate) trait EngineImpl {
         assert_eq!(lane, 0, "scalar engine has a single lane");
         self.peek(slot)
     }
-    /// Installs a fault on one lane (batch engine only; the batch
-    /// backend applies the same forced-settle protocol as the wrapper,
-    /// per lane, so lanes stay bit-exact with scalar faulty traces).
-    fn inject_lane(&mut self, _lane: u32, _fault: FaultState) {
-        unreachable!("per-lane injection requires Engine::SpecializedBatch");
-    }
     /// Fills `out` with one mask per net: bit `L` set iff lane `L`'s
     /// value of that net differs from lane `golden`'s, restricted to
     /// active lanes. Returns true iff any mask is non-zero; false
     /// (leaving `out` untouched) on engines without lanes.
     fn divergence_masks(&self, _golden: u32, _out: &mut Vec<u64>) -> bool {
         false
-    }
-    /// `(injected_bits, faulted_cycles)` accumulated on one lane by
-    /// per-lane faults (zeros on scalar engines).
-    fn lane_fault_totals(&self, _lane: u32) -> (u64, u64) {
-        (0, 0)
     }
 }
 
@@ -247,34 +216,32 @@ pub struct Injection {
 }
 
 /// An installed fault: the [`Injection`] resolved to a net slot.
-/// `pub(crate)` so the batch backend can run the same wrapper protocol
-/// per lane.
 #[derive(Clone, Copy)]
-pub(crate) struct FaultState {
-    pub(crate) slot: u32,
-    pub(crate) width: u32,
-    pub(crate) is_reg: bool,
-    pub(crate) mask: u128,
-    pub(crate) kind: InjectKind,
-    pub(crate) cycle: u64,
-    pub(crate) duration: u64,
+struct FaultState {
+    slot: u32,
+    width: u32,
+    is_reg: bool,
+    mask: u128,
+    kind: InjectKind,
+    cycle: u64,
+    duration: u64,
 }
 
 impl FaultState {
     /// Whether the fault disturbs the pre-edge settle of `cycle`.
-    pub(crate) fn active_pre(&self, cycle: u64) -> bool {
+    fn active_pre(&self, cycle: u64) -> bool {
         cycle >= self.cycle && cycle - self.cycle < self.duration
     }
 
     /// Whether the fault is still forced after the edge of `cycle`
     /// (stuck-at faults only; a flip is a one-shot disturbance whose
     /// persistence comes from state that latched it).
-    pub(crate) fn active_post(&self, cycle: u64) -> bool {
+    fn active_post(&self, cycle: u64) -> bool {
         self.kind != InjectKind::Flip && self.active_pre(cycle)
     }
 
     /// The forced value given a freshly driven clean value `v`.
-    pub(crate) fn apply(&self, v: u128, width_mask: u128) -> u128 {
+    fn apply(&self, v: u128, width_mask: u128) -> u128 {
         let forced = match self.kind {
             InjectKind::Flip => v ^ self.mask,
             InjectKind::StuckAt0 => v & !self.mask,
@@ -341,20 +308,21 @@ pub struct Sim {
     overheads: Overheads,
     backend: Box<dyn EngineImpl>,
     profile: Option<ProfileState>,
-    /// Installed faults (empty in the common case: the fast paths in
-    /// `cycle`/`run` are untouched unless `inject` was called).
-    faults: Vec<FaultState>,
+    /// Installed faults as `(lane, fault)`; scalar engines only use lane
+    /// 0 (empty in the common case: the fast paths in `cycle`/`run` are
+    /// untouched unless `inject` was called).
+    faults: Vec<(u32, FaultState)>,
     /// Levelized combinational order for the injection settle; computed
     /// once on first `inject`.
     inject_sched: Vec<u32>,
     /// A forced (stuck-at) settle ran and its fault has since expired:
     /// the next settle must be a full pass to wash the forces out.
     fault_cleanup: bool,
-    /// Bits disturbed so far (one count per masked bit per faulted
-    /// cycle).
-    injected_bits: u64,
-    /// Cycles on which at least one fault was active.
-    faulted_cycles: u64,
+    /// Bits disturbed so far per lane (one count per masked bit per
+    /// faulted cycle).
+    injected_bits: Vec<u64>,
+    /// Cycles on which at least one fault was active, per lane.
+    faulted_cycles: Vec<u64>,
 }
 
 /// The `MTL_LINT` gate run at simulator construction.
@@ -513,6 +481,7 @@ impl Sim {
         overheads: Overheads,
         backend: Box<dyn EngineImpl>,
     ) -> Sim {
+        let lanes = backend.lane_count() as usize;
         Sim {
             design,
             engine,
@@ -522,8 +491,8 @@ impl Sim {
             faults: Vec::new(),
             inject_sched: Vec::new(),
             fault_cleanup: false,
-            injected_bits: 0,
-            faulted_cycles: 0,
+            injected_bits: vec![0; lanes],
+            faulted_cycles: vec![0; lanes],
         }
     }
 
@@ -574,7 +543,7 @@ impl Sim {
     }
 
     /// [`Sim::build`] with explicit configuration (e.g. the optimizer
-    /// forced on or off, independent of `MTL_TAPE_OPT`).
+    /// forced off).
     ///
     /// # Errors
     ///
@@ -747,17 +716,17 @@ impl Sim {
     /// net (e.g. a top-level input: nothing would restore it after the
     /// fault expires — drive stimulus through `poke` instead).
     pub fn inject(&mut self, inj: Injection) {
+        // On the batch engine a wrapper-level fault is a broadcast: one
+        // entry per active lane, each run through the same protocol.
         let fault = self.resolve_fault(inj);
-        if self.backend.lane_count() > 1 {
-            // On the batch engine a wrapper-level fault is a broadcast:
-            // the backend runs the identical forced-settle protocol on
-            // every active lane, so each lane's trace is byte-identical
-            // to a scalar engine with the same injection.
-            for lane in 0..self.backend.lane_count() {
-                self.backend.inject_lane(lane, fault);
-            }
-            return;
+        for lane in 0..self.backend.lane_count() {
+            self.install(lane, fault);
         }
+    }
+
+    /// Adds one lane's fault, computing the injection schedule on first
+    /// use.
+    fn install(&mut self, lane: u32, fault: FaultState) {
         if self.inject_sched.is_empty() {
             self.inject_sched = self
                 .design
@@ -767,7 +736,7 @@ impl Sim {
                 .map(|b| b.index() as u32)
                 .collect();
         }
-        self.faults.push(fault);
+        self.faults.push((lane, fault));
     }
 
     /// Validates an [`Injection`] and resolves it to a [`FaultState`].
@@ -805,13 +774,13 @@ impl Sim {
     /// golden/reference lane); use [`Sim::lane_fault_totals`] for other
     /// lanes.
     pub fn injected_bits(&self) -> u64 {
-        self.injected_bits + self.backend.lane_fault_totals(0).0
+        self.injected_bits[0]
     }
 
     /// Cycles simulated so far on which at least one fault was active
     /// (lane 0 on the batch engine).
     pub fn faulted_cycle_count(&self) -> u64 {
-        self.faulted_cycles + self.backend.lane_fault_totals(0).1
+        self.faulted_cycles[0]
     }
 
     /// Active trial lanes: 1 on the scalar engines, the configured lane
@@ -850,10 +819,10 @@ impl Sim {
     }
 
     /// Installs a scheduled fault on one lane of a batch simulator. The
-    /// batch backend applies the wrapper's forced-settle protocol (see
-    /// [`Sim::inject`]) lane by lane, so each faulted lane's trace is
-    /// byte-identical to a scalar engine running that lane's fault set
-    /// alone — the property the fault differential suite asserts.
+    /// wrapper runs the forced-settle protocol of [`Sim::inject`] on
+    /// that lane alone, so each faulted lane's trace is byte-identical
+    /// to a scalar engine running that lane's fault set — the property
+    /// the fault differential suite asserts.
     ///
     /// # Panics
     ///
@@ -866,7 +835,7 @@ impl Sim {
         );
         assert!(lane < self.backend.lane_count(), "lane {lane} out of range");
         let fault = self.resolve_fault(inj);
-        self.backend.inject_lane(lane, fault);
+        self.install(lane, fault);
     }
 
     /// Fills `out` with one mask per net (indexed by
@@ -881,10 +850,14 @@ impl Sim {
         self.backend.divergence_masks(golden, out)
     }
 
-    /// `(injected_bits, faulted_cycles)` accumulated on one lane by
-    /// per-lane faults (batch engine; zeros on scalar engines).
+    /// `(injected_bits, faulted_cycles)` accumulated on one lane
+    /// (zeros for lanes past [`Sim::lane_count`]).
     pub fn lane_fault_totals(&self, lane: u32) -> (u64, u64) {
-        self.backend.lane_fault_totals(lane)
+        let l = lane as usize;
+        (
+            self.injected_bits.get(l).copied().unwrap_or(0),
+            self.faulted_cycles.get(l).copied().unwrap_or(0),
+        )
     }
 
     /// Indices of faults active at `now` (post-edge window if `post`).
@@ -892,7 +865,7 @@ impl Sim {
         self.faults
             .iter()
             .enumerate()
-            .filter(|(_, f)| if post { f.active_post(now) } else { f.active_pre(now) })
+            .filter(|(_, (_, f))| if post { f.active_post(now) } else { f.active_pre(now) })
             .map(|(i, _)| i)
             .collect()
     }
@@ -903,28 +876,31 @@ impl Sim {
     /// levelized pass makes every combinational net a pure function of
     /// sequential state, inputs, and forces — all identical across
     /// engines — so the post-settle state is engine-independent no matter
-    /// what (engine-specific) unsettled state it started from.
+    /// what (engine-specific) unsettled state it started from. Each fault
+    /// is read and forced on its own lane only, so on the batch engine
+    /// every lane settles exactly as a scalar engine with that lane's
+    /// faults would.
     fn forced_settle(&mut self, active: &[usize]) {
         let mut forced: Vec<u128> = Vec::with_capacity(active.len());
         for &fi in active {
-            let f = &self.faults[fi];
-            let v = self.backend.peek(f.slot).as_u128();
+            let (lane, f) = self.faults[fi];
+            let v = self.backend.peek_lane(lane, f.slot).as_u128();
             let t = f.apply(v, mask_of(f.width));
-            self.backend.force(f.slot, Bits::new(f.width, t), f.is_reg);
+            self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
             forced.push(t);
         }
         let sched = std::mem::take(&mut self.inject_sched);
         for &b in &sched {
             self.backend.exec_block(b);
             for (k, &fi) in active.iter().enumerate() {
-                let f = &self.faults[fi];
-                let v = self.backend.peek(f.slot).as_u128();
+                let (lane, f) = self.faults[fi];
+                let v = self.backend.peek_lane(lane, f.slot).as_u128();
                 if v != forced[k] {
                     // The net's driver ran and wrote a fresh clean value:
                     // recompute the disturbance from it and re-force (a
                     // plain re-XOR would double-apply a flip).
                     let t = f.apply(v, mask_of(f.width));
-                    self.backend.force(f.slot, Bits::new(f.width, t), f.is_reg);
+                    self.backend.force(lane, f.slot, Bits::new(f.width, t), f.is_reg);
                     forced[k] = t;
                 }
             }
@@ -934,12 +910,19 @@ impl Sim {
 
     /// One clock cycle with the faults `pre` active: forced settle,
     /// clock edge, post-edge settle (forced again for stuck-at faults,
-    /// full clean re-settle otherwise).
+    /// full clean re-settle otherwise). A lane counts one faulted cycle
+    /// however many of its faults are active.
     fn faulted_cycle(&mut self, now: u64, pre: &[usize]) {
         self.forced_settle(pre);
-        self.faulted_cycles += 1;
+        let mut lanes_hit = 0u64;
         for &fi in pre {
-            self.injected_bits += self.faults[fi].mask.count_ones() as u64;
+            let (lane, f) = self.faults[fi];
+            self.injected_bits[lane as usize] += f.mask.count_ones() as u64;
+            lanes_hit |= 1 << lane;
+        }
+        while lanes_hit != 0 {
+            self.faulted_cycles[lanes_hit.trailing_zeros() as usize] += 1;
+            lanes_hit &= lanes_hit - 1;
         }
         self.backend.edge();
         let post = self.active_faults(now, true);
@@ -1174,8 +1157,8 @@ impl Sim {
             engine: self.engine,
             cycles: self.backend.cycles(),
             settles: p.settles,
-            injections: self.injected_bits,
-            faulted_cycles: self.faulted_cycles,
+            injections: self.injected_bits[0],
+            faulted_cycles: self.faulted_cycles[0],
             block_runs: p.block_runs.clone(),
             block_nanos: stats.block_nanos.clone(),
             block_paths,
@@ -1511,7 +1494,8 @@ impl<S: Store, M: SensMap> EngineImpl for InterpEngine<S, M> {
         }
     }
 
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
+    fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool) {
+        assert_eq!(lane, 0, "scalar engine has a single lane");
         self.store.set(slot, v);
         if also_next {
             self.store.set_next(slot, v);
@@ -1638,14 +1622,6 @@ pub(crate) struct PackedView<'a> {
     pub(crate) widths: &'a [u32],
     pub(crate) changed: &'a mut Vec<u32>,
     pub(crate) cycles: u64,
-}
-
-pub(crate) fn mask_of(width: u32) -> u128 {
-    if width >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << width) - 1
-    }
 }
 
 impl SignalView for PackedView<'_> {
@@ -2153,7 +2129,8 @@ impl EngineImpl for TapeEngine {
         }
     }
 
-    fn force(&mut self, slot: u32, v: Bits, also_next: bool) {
+    fn force(&mut self, lane: u32, slot: u32, v: Bits, also_next: bool) {
+        assert_eq!(lane, 0, "scalar engine has a single lane");
         let s = slot as usize;
         self.cur[s] = v.as_u128();
         if also_next {

@@ -832,6 +832,7 @@ pub(crate) fn widen(t: &ExecTape) -> VTape {
     })
 }
 
+/// The low-`width`-bits mask as a `u128` (all ones from 128 up).
 pub(crate) fn mask_of(width: u32) -> u128 {
     mask_w(width)
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI stage 2.5 — bit-sliced batch engine gate. Two checks:
+# CI stage 2.5 — bit-sliced batch engine gate. Three checks:
 #
 #   1. Batch differential fuzz: seed-pinned random RTL designs, each run
 #      on one SpecializedBatch simulator (64 lanes, distinct stimulus
@@ -13,6 +13,9 @@
 #      cross-checked against scalar run_diff inside the job) and
 #      --require-batch-speedup 1.0 turns "the batch engine must not be
 #      slower than the scalar baseline" into the exit code.
+#   3. Lane-exactness tests (crates/bench/tests/batch_lanes.rs): every
+#      lane against scalar SpecializedOpt twins, under per-lane stimulus,
+#      per-lane faults and broadcast faults.
 #
 # The (iters, seed) pair is pinned so a red run reproduces locally with
 # exactly these flags.
@@ -31,3 +34,6 @@ RUSTMTL_SWEEP_CACHE=0 RUSTMTL_BENCH_DIR=target \
     cargo run -q -p mtl-bench --release --bin fault_sweep -- \
     --smoke --journal target/sweep-journal/ci_batch_smoke.jsonl \
     --require-batch-speedup 1.0
+
+echo "== batch lane-exactness tests"
+cargo test -p mtl-bench --release --test batch_lanes

@@ -11,7 +11,9 @@
 #       jobs and recompute none of them;
 #   (c) watchdog smoke: injected hangs (RUSTMTL_SWEEP_INJECT_HANG) are
 #       killed by the per-job watchdog and the campaign still completes
-#       every healthy job.
+#       every healthy job;
+#   (d) the mtl-sim and mtl-fault unit tests (optimizer passes, the
+#       width proof, fault plans), which the root `cargo test` skips.
 #
 # Everything is seed-pinned: a red run reproduces locally with exactly
 # these commands.
@@ -62,5 +64,8 @@ echo "$out" | grep -q "5 executed" || {
 echo "$out" | grep -q "2 failed" || {
     echo "$out"; echo "FAIL: healthy jobs did not complete alongside the hangs"; exit 1; }
 rm -f "$JOURNAL"
+
+echo "== mtl-sim and mtl-fault unit tests"
+cargo test -q --release -p mtl-sim -p mtl-fault
 
 echo "== fault stage: OK"
