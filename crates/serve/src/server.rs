@@ -110,7 +110,9 @@ impl Server {
     }
 
     /// Binds `socket` and serves connections until [`Server::stop`].
-    /// A stale socket file from a killed daemon is replaced.
+    /// A stale socket file from a killed daemon is replaced. The path
+    /// appears only once the socket listens, so a client may wait for
+    /// it to exist and then connect.
     ///
     /// # Errors
     ///
@@ -118,7 +120,14 @@ impl Server {
     /// connection.
     pub fn serve_unix(&self, socket: &Path) -> std::io::Result<()> {
         let _ = std::fs::remove_file(socket);
-        let listener = UnixListener::bind(socket)?;
+        // `bind` creates the file before the socket listens, and a
+        // connect in between is refused: bind under a staging name and
+        // rename the listening socket into place.
+        let mut staging = socket.as_os_str().to_owned();
+        staging.push("~");
+        let _ = std::fs::remove_file(&staging);
+        let listener = UnixListener::bind(&staging)?;
+        std::fs::rename(&staging, socket)?;
         listener.set_nonblocking(true)?;
         let mut handlers = Vec::new();
         let mut streams: Vec<UnixStream> = Vec::new();

@@ -747,7 +747,7 @@ fn sweep(ops: &mut Vec<Op<VReg>>, dead: &[bool]) {
 /// Evaluates a pure op whose operands are all known constants, mirroring
 /// the executor's arithmetic exactly (see `crate::tape::exec`). Returns `None`
 /// for state-touching ops or unknown operands.
-fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
+pub(crate) fn eval_pure(op: &Op<VReg>, get: &impl Fn(VReg) -> Option<u128>) -> Option<u128> {
     Some(match *op {
         Op::Const { val, .. } => val,
         Op::Copy { a, .. } => get(a)?,
@@ -2307,10 +2307,10 @@ mod tests {
         let ops: Vec<Op<VReg>> = (0..40)
             .flat_map(|i| {
                 vec![
-                    Op::Read { dst: 3 * i, slot: (i % 4) as u32 },
+                    Op::Read { dst: 3 * i, slot: i % 4 },
                     Op::Const { dst: 3 * i + 1, val: (i as u128) & m },
                     Op::Add { dst: 3 * i + 2, a: 3 * i, b: 3 * i + 1, mask: m },
-                    Op::Write { slot: 4 + (i % 3) as u32, src: 3 * i + 2 },
+                    Op::Write { slot: 4 + i % 3, src: 3 * i + 2 },
                 ]
             })
             .collect();

@@ -15,6 +15,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::hint::select_unpredictable;
 use std::ops::{BitAnd, BitOr, BitXor, Not, Shl, Shr};
 use std::time::{Duration, Instant};
 
@@ -365,7 +366,7 @@ pub(crate) enum Op<R = Reg, W: Word = u128> {
         data: R,
         words: W::Words,
     },
-    /// Predicated [`Op::MemWrite`]: pushes the deferred write only when
+    /// Predicated [`Op::MemWrite`]: appends the deferred write only when
     /// `(cond != 0) != neg`. Optimizer-only, like the other predicated
     /// stores — exact by construction, since an untaken guard enqueues
     /// nothing on the `pending` list.
@@ -1651,6 +1652,23 @@ impl TapeMems for [Vec<u128>] {
     }
 }
 
+/// Appends `entry` to `pending` if `take`, with no branch on `take`: the
+/// entry is always written to the first spare slot, and the length grows
+/// by `take` as 0 or 1.
+#[inline(always)]
+fn append_if(pending: &mut Vec<(u32, u64, u128)>, entry: (u32, u64, u128), take: bool) {
+    pending.reserve(1);
+    let len = pending.len();
+    // SAFETY: `reserve(1)` leaves capacity for an entry at `len`, so the
+    // write is in bounds, and `len + take` never exceeds the capacity.
+    // Entries are `Copy`, so a slot written but not counted needs no drop
+    // and is simply overwritten by the next append.
+    unsafe {
+        pending.as_mut_ptr().add(len).write(entry);
+        pending.set_len(len + take as usize);
+    }
+}
+
 /// The tape executor: runs `tape.ops[start..]` over registers of word `W`
 /// and the packed `u128` state. The one executor body, monomorphized per
 /// word and per `TRACK` mode; every engine's tape path reaches it through
@@ -1667,6 +1685,12 @@ impl TapeMems for [Vec<u128>] {
 /// derived from an immediate, is range-checked once by [`validate`] at
 /// simulator construction, which makes the unchecked accesses sound.
 ///
+/// The select handlers (`Mux`, `Mux2`, `WriteIf`, `WriteNextIf`) pick
+/// their value with [`select_unpredictable`] rather than a branch: their
+/// guards are data, and a mispredicted branch costs more than computing
+/// both sides. Deferred memory writes go through [`append_if`], which
+/// appends without `Vec::push` and without a branch on the guard.
+///
 /// # Safety
 ///
 /// Callers must guarantee, for the duration of the call:
@@ -1678,6 +1702,9 @@ impl TapeMems for [Vec<u128>] {
 /// - no other thread concurrently writes any slot this tape reads, and
 ///   no other thread concurrently reads or writes any slot this tape
 ///   writes (every caller runs single-threaded over exclusive borrows).
+///
+/// `pending` needs nothing of the caller: [`append_if`] keeps its length
+/// within its capacity and counts only initialized entries.
 #[allow(clippy::too_many_arguments)]
 unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
     tape: &Tape<W>,
@@ -1756,17 +1783,11 @@ unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
             Op::Slice { dst, a, lo, mask } => w!(dst, (r!(a) >> *lo as u32) & *mask),
             Op::ShlOr { dst, a, b, shift } => w!(dst, (r!(a) << *shift) | r!(b)),
             Op::Mux { dst, cond, t, f } => {
-                w!(dst, if r!(cond) != W::ZERO { r!(t) } else { r!(f) });
+                w!(dst, select_unpredictable(r!(cond) != W::ZERO, r!(t), r!(f)));
             }
             Op::Mux2 { dst, c1, t1, c2, t2, f } => {
-                let v = if r!(c1) != W::ZERO {
-                    r!(t1)
-                } else if r!(c2) != W::ZERO {
-                    r!(t2)
-                } else {
-                    r!(f)
-                };
-                w!(dst, v);
+                let inner = select_unpredictable(r!(c2) != W::ZERO, r!(t2), r!(f));
+                w!(dst, select_unpredictable(r!(c1) != W::ZERO, r!(t1), inner));
             }
             Op::Select { dst, sel, base, n } => {
                 let idx = (r!(sel).low_u64() as usize).min(*n as usize - 1);
@@ -1818,10 +1839,9 @@ unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
                 let take = (r!(cond) != W::ZERO) != *neg;
                 let s = *slot as usize;
                 let c = unsafe { &mut *cur.add(s) };
-                // Branchless select: an untaken predicate stores the old
-                // value back, which the tracked path below treats as "no
-                // change" — bit-for-bit the branchy original.
-                let v = if take { r!(src).to_u128() } else { *c };
+                // An untaken predicate stores the old value back, which
+                // the tracked path below treats as "no change".
+                let v = select_unpredictable(take, r!(src).to_u128(), *c);
                 if TRACK {
                     if *c != v {
                         *c = v;
@@ -1834,7 +1854,7 @@ unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
             Op::WriteNextIf { slot, cond, src, neg } => {
                 let take = (r!(cond) != W::ZERO) != *neg;
                 let n = unsafe { &mut *next.add(*slot as usize) };
-                *n = if take { r!(src).to_u128() } else { *n };
+                *n = select_unpredictable(take, r!(src).to_u128(), *n);
             }
             Op::MemRead { dst, mem, addr, words } => {
                 let a = r!(addr).low_u64() % (*words).into();
@@ -1843,13 +1863,12 @@ unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
             }
             Op::MemWrite { mem, addr, data, words } => {
                 let a = r!(addr).low_u64() % (*words).into();
-                pending.push((*mem, a, r!(data).to_u128()));
+                append_if(pending, (*mem, a, r!(data).to_u128()), true);
             }
             Op::MemWriteIf { mem, addr, data, cond, words, neg } => {
-                if (r!(cond) != W::ZERO) != *neg {
-                    let a = r!(addr).low_u64() % (*words).into();
-                    pending.push((*mem, a, r!(data).to_u128()));
-                }
+                let take = (r!(cond) != W::ZERO) != *neg;
+                let a = r!(addr).low_u64() % (*words).into();
+                append_if(pending, (*mem, a, r!(data).to_u128()), take);
             }
             Op::Jz { cond, target } => {
                 if r!(cond) == W::ZERO {
@@ -1875,6 +1894,7 @@ unsafe fn exec<const TRACK: bool, W: Word, M: TapeMems + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::eval_pure;
     use mtl_bits::Bits;
 
     #[test]
@@ -2047,5 +2067,322 @@ mod tests {
         assert!(mem(64, 8));
         assert!(!mem(65, 8));
         assert!(!mem(64, 1 << 32));
+    }
+
+    /// SplitMix64: seeded operands for the executor oracle.
+    struct Mix(u64);
+
+    impl Mix {
+        fn u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u32) -> u32 {
+            (self.u64() % n as u64) as u32
+        }
+
+        /// A `w`-bit value: zero, all ones, or uniform, so that equality,
+        /// reduction and sign edges are all hit.
+        fn val(&mut self, w: u32) -> u128 {
+            let r = (self.u64() as u128) << 64 | self.u64() as u128;
+            match self.below(4) {
+                0 => 0,
+                1 => mask_of(w),
+                _ => r & mask_of(w),
+            }
+        }
+
+        /// A nonzero `w`-bit value.
+        fn nonzero(&mut self, w: u32) -> u128 {
+            self.val(w).max(1)
+        }
+    }
+
+    /// Tape state before or after a run.
+    #[derive(Debug, Clone, PartialEq)]
+    struct State {
+        cur: Vec<u128>,
+        next: Vec<u128>,
+        pending: Vec<(u32, u64, u128)>,
+        changed: Vec<u32>,
+    }
+
+    /// Narrows `ops` against `widths` (and `nmems` memories `bits` wide),
+    /// checks that the tape landed on `bits`-bit registers, and runs it
+    /// from `st` once untracked and once tracked.
+    fn exec_both(
+        ops: Vec<Op<VReg>>,
+        nregs: u32,
+        widths: &[u32],
+        nmems: usize,
+        bits: u32,
+        st: &State,
+    ) -> [State; 2] {
+        let mem_widths = vec![bits; nmems];
+        let t =
+            narrow(&VTape { ops, nregs, prelude: 0 }, widths, &mem_widths, || "oracle tape".into());
+        validate(&t, widths.len(), nmems);
+        assert_eq!(t.is_wide(), bits == 128, "tape word for {bits}-bit operands");
+        let mems = vec![Vec::new(); nmems];
+        let run = |track: bool| {
+            let mut s = st.clone();
+            let mut regs = Regs::default();
+            let (cur, next, pending, changed) =
+                (&mut s.cur, &mut s.next, &mut s.pending, &mut s.changed);
+            if track {
+                t.run::<true>(&mut regs, cur, next, &mems, pending, changed);
+            } else {
+                t.run::<false>(&mut regs, cur, next, &mems, pending, changed);
+            }
+            s
+        };
+        [run(false), run(true)]
+    }
+
+    /// How many op kinds [`pure_op`] draws.
+    const PURE_KINDS: u32 = 27;
+
+    /// Pure op `kind` into register 7, over operands read into registers
+    /// `0..7` from slots of the returned widths, for a tape of `bits`-bit
+    /// registers: every width, mask and shift stays inside that word's
+    /// width proof.
+    fn pure_op(rng: &mut Mix, kind: u32, bits: u32) -> (Op<VReg>, [u32; 7]) {
+        let w = 1 + rng.below(bits);
+        let mut ws = [w; 7];
+        let (dst, a, b, mask, width) = (7, 0, 1, mask_of(w), w as u8);
+        let op = match kind {
+            0 => Op::Const { dst, val: rng.val(w) },
+            1 => Op::Copy { dst, a },
+            2 => Op::Add { dst, a, b, mask },
+            3 => Op::Sub { dst, a, b, mask },
+            4 => Op::Mul { dst, a, b, mask },
+            5 => Op::And { dst, a, b },
+            6 => Op::Or { dst, a, b },
+            7 => Op::Xor { dst, a, b },
+            8 => Op::Not { dst, a, mask },
+            9 => Op::Neg { dst, a, mask },
+            10..=12 => {
+                // Shift amounts reach past the operand width.
+                ws[1] = 8;
+                match kind {
+                    10 => Op::Shl { dst, a, b, width, mask },
+                    11 => Op::Shr { dst, a, b, width },
+                    _ => Op::Sra { dst, a, b, width, mask },
+                }
+            }
+            13 => Op::Eq { dst, a, b },
+            14 => Op::Ne { dst, a, b },
+            15 => Op::Lt { dst, a, b },
+            16 => Op::Ge { dst, a, b },
+            17 => Op::LtS { dst, a, b, width },
+            18 => Op::GeS { dst, a, b, width },
+            19 => Op::RedAnd { dst, a, mask },
+            20 => Op::RedOr { dst, a },
+            21 => Op::RedXor { dst, a },
+            22 => {
+                let lo = rng.below(w);
+                let len = 1 + rng.below(w - lo);
+                Op::Slice { dst, a, lo: lo as u8, mask: mask_of(len) }
+            }
+            23 => {
+                ws[0] = 1 + rng.below(bits);
+                let shift = rng.below(bits - ws[0] + 1);
+                Op::ShlOr { dst, a, b, shift }
+            }
+            24 => {
+                ws[0] = if rng.below(2) == 0 { 1 } else { w };
+                Op::Mux { dst, cond: 0, t: 1, f: 2 }
+            }
+            25 => {
+                // Indices past the last option clamp to it.
+                ws[0] = 3;
+                Op::Select { dst, sel: 0, base: 1, n: 1 + rng.below(6) as u16 }
+            }
+            26 => {
+                let from = 1 + rng.below(w);
+                ws[0] = from;
+                Op::Sext { dst, a, from: from as u8, to: width }
+            }
+            _ => unreachable!("pure op kind {kind}"),
+        };
+        (op, ws)
+    }
+
+    /// The executor against `passes::eval_pure`, an independent `u128`
+    /// evaluator: every pure op kind at both register words, from seeded
+    /// random operands, in both `TRACK` modes.
+    #[test]
+    fn exec_matches_eval_pure_on_every_pure_op() {
+        let mut rng = Mix(11);
+        for bits in [64, 128] {
+            for kind in 0..PURE_KINDS {
+                for _ in 0..200 {
+                    let (op, ws) = pure_op(&mut rng, kind, bits);
+                    let mut cur: Vec<u128> = ws.iter().map(|&w| rng.val(w)).collect();
+                    let want = eval_pure(&op, &|r| cur.get(r as usize).copied())
+                        .unwrap_or_else(|| panic!("eval_pure refused {op:?}"));
+                    let before = rng.val(bits);
+                    cur.push(before);
+                    let mut ops: Vec<Op<VReg>> =
+                        (0..7).map(|i| Op::Read { dst: i, slot: i }).collect();
+                    ops.extend([op.clone(), Op::Write { slot: 7, src: 7 }]);
+                    let mut widths = if bits == 64 { ws.to_vec() } else { vec![128; 7] };
+                    widths.push(128);
+                    let st = State { next: vec![0; 8], cur, pending: vec![], changed: vec![] };
+                    let [plain, tracked] = exec_both(ops, 8, &widths, 0, bits, &st);
+                    let mut expect = st.clone();
+                    expect.cur[7] = want;
+                    assert_eq!(plain, expect, "{op:?} on u{bits}");
+                    if want != before {
+                        expect.changed.push(7);
+                    }
+                    assert_eq!(tracked, expect, "{op:?} on u{bits}, tracked");
+                }
+            }
+        }
+    }
+
+    /// `Mux2` is `c1 ? t1 : (c2 ? t2 : f)`: the executor's fused op
+    /// against two nested `Mux`es through `eval_pure`, over all four
+    /// guard combinations.
+    #[test]
+    fn mux2_matches_nested_mux() {
+        let mut rng = Mix(12);
+        for bits in [64, 128] {
+            for guards in 0..4 {
+                for _ in 0..50 {
+                    let w = 1 + rng.below(bits);
+                    let guard = |rng: &mut Mix, on: bool| if on { rng.nonzero(w) } else { 0 };
+                    let (c1, c2) =
+                        (guard(&mut rng, guards & 1 != 0), guard(&mut rng, guards & 2 != 0));
+                    let mut cur = vec![c1, rng.val(w), c2, rng.val(w), rng.val(w)];
+                    let get = |r: VReg| cur.get(r as usize).copied();
+                    let inner = eval_pure(&Op::Mux { dst: 5, cond: 2, t: 3, f: 4 }, &get).unwrap();
+                    let outer = Op::Mux { dst: 6, cond: 0, t: 1, f: 5 };
+                    let want = eval_pure(&outer, &|r| if r == 5 { Some(inner) } else { get(r) });
+                    let want = want.unwrap();
+                    cur.push(0);
+                    let mut ops: Vec<Op<VReg>> =
+                        (0..5).map(|i| Op::Read { dst: i, slot: i }).collect();
+                    ops.push(Op::Mux2 { dst: 5, c1: 0, t1: 1, c2: 2, t2: 3, f: 4 });
+                    ops.push(Op::Write { slot: 5, src: 5 });
+                    let widths = vec![if bits == 64 { w } else { 128 }; 6];
+                    let st = State { next: vec![0; 6], cur, pending: vec![], changed: vec![] };
+                    for after in exec_both(ops, 6, &widths, 0, bits, &st) {
+                        assert_eq!(after.cur[5], want, "c1={c1} c2={c2} on u{bits}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Guarded writes with `cond` zero or not and either polarity, from
+    /// `cur != next` (the state `force` leaves): a taken guard writes its
+    /// target alone, an untaken one leaves `cur`, `next`, `pending` and
+    /// `changed` as they were.
+    #[test]
+    fn guarded_writes_touch_nothing_when_untaken() {
+        let mut rng = Mix(13);
+        for bits in [64, 128] {
+            for (nonzero, neg) in [(false, false), (false, true), (true, false), (true, true)] {
+                let take = nonzero != neg;
+                for _ in 0..50 {
+                    let w = 1 + rng.below(bits);
+                    let cond = if nonzero { rng.nonzero(w) } else { 0 };
+                    let (src, addr, old) = (rng.val(w), rng.val(w), rng.val(w));
+                    let words = 1 + rng.below(16) as u64;
+                    // Slot 0 is the target; slots 1..4 feed cond, src, addr.
+                    let st = State {
+                        cur: vec![old, cond, src, addr],
+                        next: vec![old ^ 1, 0, 0, 0],
+                        pending: vec![(3, 2, 1)],
+                        changed: vec![],
+                    };
+                    let widths = vec![if bits == 64 { w } else { 128 }; 4];
+                    for op in [
+                        Op::WriteIf { slot: 0, cond: 0, src: 1, neg },
+                        Op::WriteNextIf { slot: 0, cond: 0, src: 1, neg },
+                        Op::MemWriteIf { mem: 0, addr: 2, data: 1, cond: 0, words, neg },
+                    ] {
+                        let mut ops: Vec<Op<VReg>> =
+                            (0..3).map(|i| Op::Read { dst: i, slot: i + 1 }).collect();
+                        ops.push(op.clone());
+                        let [plain, tracked] = exec_both(ops, 3, &widths, 1, bits, &st);
+                        let mut expect = st.clone();
+                        if take {
+                            match op {
+                                Op::WriteIf { .. } => expect.cur[0] = src,
+                                Op::WriteNextIf { .. } => expect.next[0] = src,
+                                _ => expect.pending.push((0, addr as u64 % words, src)),
+                            }
+                        }
+                        assert_eq!(plain, expect, "{op:?} cond={cond} on u{bits}");
+                        if take && matches!(op, Op::WriteIf { .. }) && src != old {
+                            expect.changed.push(0);
+                        }
+                        assert_eq!(tracked, expect, "{op:?} cond={cond} on u{bits}, tracked");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A run of `MemWrite`s and `MemWriteIf`s appends exactly the taken
+    /// writes, in tape order, after what `pending` already held, with
+    /// addresses wrapped to each memory's size; the queue starts full to
+    /// its capacity, so appends must grow it.
+    #[test]
+    fn deferred_writes_keep_order_and_count() {
+        let mut rng = Mix(14);
+        for bits in [64, 128] {
+            for _ in 0..100 {
+                let sizes = [1 + rng.below(7) as u64, 1 + rng.below(300) as u64];
+                let mut st = State { cur: vec![], next: vec![], pending: vec![], changed: vec![] };
+                for _ in 0..rng.below(4) {
+                    st.pending.push((1, rng.u64(), rng.val(bits)));
+                }
+                st.pending.shrink_to_fit();
+                let mut expect = st.clone();
+                let (mut ops, mut widths) = (vec![], vec![]);
+                for _ in 0..1 + rng.below(40) {
+                    let w = 1 + rng.below(bits);
+                    let mem = rng.below(2);
+                    let words = sizes[mem as usize];
+                    let (addr, data) = (rng.val(w), rng.val(w));
+                    let s = st.cur.len() as u32;
+                    for _ in 0..2 {
+                        widths.push(if bits == 64 { w } else { 128 });
+                    }
+                    st.cur.extend([addr, data]);
+                    ops.push(Op::Read { dst: 0, slot: s });
+                    ops.push(Op::Read { dst: 1, slot: s + 1 });
+                    let take = if rng.below(3) == 0 {
+                        ops.push(Op::MemWrite { mem, addr: 0, data: 1, words });
+                        true
+                    } else {
+                        let (cond, neg) = (rng.val(1), rng.below(2) == 1);
+                        widths.push(if bits == 64 { 1 } else { 128 });
+                        st.cur.push(cond);
+                        ops.push(Op::Read { dst: 2, slot: s + 2 });
+                        ops.push(Op::MemWriteIf { mem, addr: 0, data: 1, cond: 2, words, neg });
+                        (cond != 0) != neg
+                    };
+                    if take {
+                        expect.pending.push((mem, addr as u64 % words, data));
+                    }
+                }
+                st.next = vec![0; st.cur.len()];
+                expect.cur = st.cur.clone();
+                expect.next = st.next.clone();
+                for after in exec_both(ops, 3, &widths, 2, bits, &st) {
+                    assert_eq!(after, expect, "on u{bits}");
+                }
+            }
+        }
     }
 }

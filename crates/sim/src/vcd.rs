@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use crate::sim::{Engine, Sim};
     use mtl_bits::b;
-    use mtl_core::{Component, Ctx, Expr};
+    use mtl_core::{Component, Ctx};
 
     #[test]
     fn id_codes_are_unique_and_printable() {

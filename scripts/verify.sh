@@ -3,7 +3,7 @@
 # CI pipeline does (.github/workflows/ci.yml calls the same scripts).
 #
 #   stage 0  scripts/ci/00_static.sh        fmt --check, clippy -D warnings, dup-dep check
-#   stage 1  scripts/ci/10_build_test.sh    release build + full test suite
+#   stage 1  scripts/ci/10_build_test.sh    release build + root and workspace test suites
 #   stage 2  scripts/ci/20_equivalence.sh   engine equivalence (release)
 #   stage 2.2 scripts/ci/22_opt.sh          optimizer opt-diff fuzz, body dedup, opt_counts, A/B smoke
 #   stage 2.5 scripts/ci/25_batch.sh        bit-sliced batch fuzz + batch-vs-scalar throughput

@@ -114,6 +114,32 @@ fn job_names(report: &Json) -> Vec<String> {
         .collect()
 }
 
+/// The socket path appears only once the server listens, so a client
+/// that connects the moment the path exists is never refused. `bind`
+/// creates the file before the socket listens, and a 20 µs poll lands
+/// in that window in a third to two thirds of starts unless the
+/// listening socket is renamed into place.
+#[test]
+fn socket_path_appears_only_once_listening() {
+    let dir = scratch_dir("serve_listen_race");
+    for i in 0..20 {
+        let server = Server::new(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let socket = dir.join(format!("s{i}.sock"));
+        let handle = {
+            let (server, socket) = (server.clone(), socket.clone());
+            std::thread::spawn(move || server.serve_unix(&socket))
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !socket.exists() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_micros(20));
+        }
+        let connected = Client::connect(&socket);
+        server.stop();
+        handle.join().expect("server thread").expect("serve_unix binds");
+        connected.unwrap_or_else(|e| panic!("start {i}: connect as the path appears: {e}"));
+    }
+}
+
 #[test]
 fn protocol_round_trips_and_rejects_bad_specs() {
     let dir = scratch_dir("serve-protocol");
